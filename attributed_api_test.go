@@ -1,6 +1,9 @@
 package nrp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestEmbedAttributedPublicAPI(t *testing.T) {
 	g, err := GenSBM(SBMConfig{N: 150, M: 900, Communities: 3, Seed: 71})
@@ -14,7 +17,7 @@ func TestEmbedAttributedPublicAPI(t *testing.T) {
 	opt := DefaultAttributedOptions()
 	opt.Dim = 8
 	opt.Seed = 73
-	emb, err := EmbedAttributed(g, attrs, opt)
+	emb, _, err := EmbedAttributedCtx(context.Background(), g, attrs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func ablationSplit(b *testing.B) (*graph.Graph, *eval.LinkPredSplit) {
 func ablationAUC(b *testing.B, split *eval.LinkPredSplit, opt core.Options) (float64, time.Duration) {
 	b.Helper()
 	start := time.Now()
-	emb, err := core.NRP(split.Train, opt)
+	emb, _, err := core.NRPCtx(context.Background(), split.Train, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func BenchmarkAblationWeightTargets(b *testing.B) {
 	opt := core.DefaultOptions()
 	opt.Dim = 64
 	for i := 0; i < b.N; i++ {
-		base, err := core.ApproxPPR(split.Train, opt)
+		base, _, err := core.ApproxPPRCtx(context.Background(), split.Train, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func BenchmarkAblationWeightTargets(b *testing.B) {
 			}
 			return auc
 		}
-		fwDeg, bwDeg, err := core.LearnWeights(split.Train, base, opt)
+		fwDeg, bwDeg, _, err := core.LearnWeightsCtx(context.Background(), split.Train, base, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -536,7 +536,7 @@ func hnswBenchIndex() (Searcher, error) {
 // numbers into BENCH_topk.json, where benchgate holds the line in CI.
 func hnswRecallGate(b *testing.B, s Searcher) {
 	ctx := context.Background()
-	exact := NewIndex(servingEmbedding())
+	exact := mustBuildIndex(b, servingEmbedding())
 	rng := rand.New(rand.NewSource(99))
 	var hits, total float64
 	for q := 0; q < 100; q++ {
@@ -717,7 +717,7 @@ func BenchmarkDynamicRefresh(b *testing.B) {
 		aucInc := auc(dyn.Embedding(), dyn.Graph())
 
 		fullStart := time.Now()
-		full, err := core.NRP(dyn.Graph(), opt)
+		full, _, err := core.NRPCtx(context.Background(), dyn.Graph(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1264,7 +1264,7 @@ func BenchmarkKernelApproxPPR(b *testing.B) {
 	opt.Dim = 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ApproxPPR(g, opt); err != nil {
+		if _, _, err := core.ApproxPPRCtx(context.Background(), g, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1276,13 +1276,13 @@ func BenchmarkKernelReweighting(b *testing.B) {
 	g := benchGraph(b)
 	opt := core.DefaultOptions()
 	opt.Dim = 64
-	emb, err := core.ApproxPPR(g, opt)
+	emb, _, err := core.ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.LearnWeights(g, emb, opt); err != nil {
+		if _, _, _, err := core.LearnWeightsCtx(context.Background(), g, emb, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

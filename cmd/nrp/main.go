@@ -553,9 +553,10 @@ func runTopK(ctx context.Context, args []string) error {
 	return nil
 }
 
-// readEdgePairs parses a whitespace-separated edge list ("u v" per line,
-// '#' comments) into raw id pairs, without building a graph — update
-// batches may legitimately reference edges absent from any snapshot.
+// readEdgePairs parses an edge list in the loaders' own line grammar
+// (graph.ParseEdgeLine: "u v" per line, '#'/'%' comments) into raw id
+// pairs, without building a graph — update batches may legitimately
+// reference edges absent from any snapshot.
 func readEdgePairs(path string) ([][2]int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -564,27 +565,15 @@ func readEdgePairs(path string) ([][2]int, error) {
 	defer f.Close()
 	var pairs [][2]int
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("%s:%d: want \"u v\", got %q", path, line, text)
-		}
-		u, err := strconv.Atoi(fields[0])
+	sc.Buffer(make([]byte, 64<<10), graph.MaxLineLen)
+	for line := 1; sc.Scan(); line++ {
+		u, v, ok, err := graph.ParseEdgeLine(sc.Bytes())
 		if err != nil {
-			return nil, fmt.Errorf("%s:%d: bad source id %q", path, line, fields[0])
+			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: bad target id %q", path, line, fields[1])
+		if ok {
+			pairs = append(pairs, [2]int{int(u), int(v)})
 		}
-		pairs = append(pairs, [2]int{u, v})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

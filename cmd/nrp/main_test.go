@@ -228,7 +228,8 @@ func writeEdgeFile(t *testing.T, dir, name string, pairs [][2]int) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	var sb strings.Builder
-	sb.WriteString("# test updates\n")
+	// Both comment styles the graph loaders accept (KONECT files use '%').
+	sb.WriteString("# test updates\n% konect-style header\n")
 	for _, p := range pairs {
 		fmt.Fprintf(&sb, "%d %d\n", p[0], p[1])
 	}

@@ -70,22 +70,6 @@ type bootConfig struct {
 	logger *slog.Logger
 }
 
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("-log-level: %w", err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("-log-format must be text or json, got %q", format)
-	}
-}
-
 // newRouterFromFlags parses args and boots the router (including shard
 // discovery and partition validation); separated from run so tests can
 // drive the handler without binding a port.
@@ -107,7 +91,7 @@ func newRouterFromFlags(ctx context.Context, args []string) (*bootConfig, error)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := serve.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		return nil, err
 	}

@@ -113,26 +113,6 @@ type config struct {
 	logger       *slog.Logger
 }
 
-// newLogger builds the process logger from the -log-format/-log-level
-// flags. Everything nrpserve prints — boot progress, per-request lines,
-// background refresh outcomes — goes through it, so `-log-format=json`
-// yields machine-parseable output end to end.
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("-log-level: %w", err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("-log-format must be text or json, got %q", format)
-	}
-}
-
 // newServerFromFlags parses args, loads or builds the Searcher, and
 // returns the wrapped HTTP server; separated from run so tests can drive
 // the handler without binding a port.
@@ -173,7 +153,7 @@ func newServerFromFlags(ctx context.Context, args []string) (*config, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := serve.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		return nil, err
 	}

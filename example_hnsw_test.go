@@ -42,7 +42,10 @@ func ExampleBuildIndex_hnsw() {
 
 	// The approximate backend's contract: high recall against the exact
 	// scan at sublinear per-query work.
-	exact := nrp.NewIndex(emb)
+	exact, err := nrp.BuildIndex(emb)
+	if err != nil {
+		log.Fatal(err)
+	}
 	const k, queries = 5, 20
 	hits, scanned := 0, 0
 	for u := 0; u < queries; u++ {

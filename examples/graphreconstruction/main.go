@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,12 +28,12 @@ func main() {
 	fmt.Println("method      " + header(ks))
 	for _, m := range []struct {
 		name  string
-		embed func(*nrp.Graph, nrp.Options) (*nrp.Embedding, error)
+		embed func(context.Context, *nrp.Graph, nrp.Options, ...nrp.RunOption) (*nrp.Embedding, *nrp.Stats, error)
 	}{
-		{"ApproxPPR", nrp.EmbedPPR},
-		{"NRP", nrp.Embed},
+		{"ApproxPPR", nrp.EmbedPPRCtx},
+		{"NRP", nrp.EmbedCtx},
 	} {
-		emb, err := m.embed(g, opt)
+		emb, _, err := m.embed(context.Background(), g, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func main() {
 	// graphs (average degree 39-77); this synthetic graph averages degree
 	// 10, so the regularizer is scaled down accordingly.
 	opt.Lambda = 0.1
-	var nrpIndex *nrp.Index
+	var nrpIndex nrp.Searcher
 	for _, method := range []struct {
 		name  string
 		embed func(context.Context, *nrp.Graph, nrp.Options, ...nrp.RunOption) (*nrp.Embedding, *nrp.Stats, error)
@@ -66,7 +66,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ix := nrp.NewIndex(emb)
+		ix, err := nrp.BuildIndex(emb)
+		if err != nil {
+			log.Fatal(err)
+		}
 		a, err := auc(ctx, ix, testPos, testNeg)
 		if err != nil {
 			log.Fatal(err)
@@ -97,7 +100,7 @@ func main() {
 
 // auc computes the rank-based AUC, batch-scoring both edge sets through the
 // index.
-func auc(ctx context.Context, ix *nrp.Index, pos, neg []nrp.Edge) (float64, error) {
+func auc(ctx context.Context, ix nrp.Searcher, pos, neg []nrp.Edge) (float64, error) {
 	pairs := make([]nrp.Pair, 0, len(pos)+len(neg))
 	for _, e := range pos {
 		pairs = append(pairs, nrp.Pair{U: int(e.U), V: int(e.V)})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 
 	opt := nrp.DefaultOptions()
 	opt.Dim = 64
-	emb, err := nrp.Embed(g, opt)
+	emb, _, err := nrp.EmbedCtx(context.Background(), g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

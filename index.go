@@ -1,16 +1,12 @@
 package nrp
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"github.com/nrp-embed/nrp/internal/matrix"
 )
 
 // Neighbor is one result of a proximity query: a candidate node and its
@@ -87,335 +83,50 @@ type Searcher interface {
 	N() int
 }
 
-// Backend selects the scan strategy behind a Searcher built by BuildIndex.
-type Backend int
-
-const (
-	// BackendExact scans every candidate with the float64 kernel. The
-	// reference backend: always exact, no build-time preprocessing.
-	BackendExact Backend = iota
-	// BackendQuantized scans int8-quantized backward embeddings with a
-	// fused int32 kernel (8× less memory traffic), then re-scores the
-	// top rerank·k shortlist exactly. Approximate with high recall.
-	BackendQuantized
-	// BackendPruned scans candidates in decreasing ‖Y_v‖ order and stops
-	// as soon as the Cauchy–Schwarz bound ‖X_u‖·‖Y_v‖ cannot beat the
-	// current k-th score. Exact results; fast when norms are skewed.
-	BackendPruned
-	// BackendHNSW answers queries with a greedy beam search over a
-	// hierarchical navigable small-world graph built over the backward
-	// embedding rows — sublinear per-query work (O(efSearch·M) score
-	// evaluations instead of n). Approximate; recall is tuned with
-	// WithEfSearch. Optionally evaluates in-graph scores with the int8
-	// quantized kernel and reranks the top rerank·k exactly
-	// (WithHNSWQuantized).
-	BackendHNSW
-)
-
-// String names the backend as accepted by ParseBackend and the CLI flags.
-func (b Backend) String() string {
-	switch b {
-	case BackendExact:
-		return "exact"
-	case BackendQuantized:
-		return "quantized"
-	case BackendPruned:
-		return "pruned"
-	case BackendHNSW:
-		return "hnsw"
-	}
-	return fmt.Sprintf("backend(%d)", int(b))
+// index is the one static Searcher: an embedding, the resolved
+// configuration, and the backend's kernel. Everything every backend does
+// the same way — query validation, clamping k to the candidates on offer,
+// timing, batching, exact pair scoring, the snapshot header and embedding
+// I/O — is written once against this type; a kernel holds only what its
+// backend does differently.
+type index struct {
+	emb  *Embedding
+	cfg  indexConfig
+	kern kernel
 }
 
-// ParseBackend resolves a backend name ("exact", "quantized", "pruned").
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "exact":
-		return BackendExact, nil
-	case "quantized":
-		return BackendQuantized, nil
-	case "pruned":
-		return BackendPruned, nil
-	case "hnsw":
-		return BackendHNSW, nil
-	}
-	return 0, fmt.Errorf("nrp: unknown backend %q (want exact, quantized, pruned or hnsw)", s)
+// kernel is the per-backend seam. Adding a backend is one file with a
+// kernel implementation, its build and decode functions, and a row in
+// the backends table.
+type kernel interface {
+	// bind derives whatever state depends on the resolved serving options
+	// (the shard slice, the HNSW seed rows). It runs once, after build and
+	// after a snapshot decode, before the first query.
+	bind(emb *Embedding, cfg *indexConfig) error
+	// search answers one query that is already validated, with k clamped
+	// to [1, candidates on offer]. Dispatch happens here, once per query;
+	// the candidate loop inside calls its scoring kernel directly. When
+	// parallel, a scan backend may fan its shards out across goroutines.
+	search(ctx context.Context, ix *index, u, k int, parallel bool) ([]Neighbor, QueryStats, error)
+	// snapshotBackend names the backend an NRPX header declares for the
+	// payload writePayload emits after the embedding.
+	snapshotBackend() Backend
+	writePayload(bw *bufio.Writer) error
 }
 
-// indexConfig is the resolved build configuration shared by all backends.
-type indexConfig struct {
-	backend Backend
-	shards  int
-	// shardsExplicit records whether shards was chosen by the caller
-	// (WithShards(n>0)) rather than defaulted to the host's cores, so
-	// snapshots only persist deliberate choices — a defaulted count is
-	// re-derived on the serving host at load time.
-	shardsExplicit bool
-	rerank         int
-	// rerankExplicit records a caller-passed WithRerank, which only makes
-	// sense on backends with an approximate scoring pass (quantized, or
-	// HNSW with the quantized coarse stage) — elsewhere it is a
-	// configuration mistake and rejected.
-	rerankExplicit bool
-	includeSelf    bool
-	// buildThreads bounds build-time preprocessing parallelism
-	// (quantization, norm computation, HNSW construction; 0 = GOMAXPROCS).
-	// Set with WithThreads; never persisted in snapshots.
-	buildThreads int
-	// HNSW backend parameters; zero values select internal/ann defaults.
-	// The explicit flags drive conflict validation (HNSW options on a scan
-	// backend are rejected) and the snapshot override rules (efSearch is a
-	// serving knob overridable at load; the rest are build-time and baked
-	// into the persisted graph).
-	hnswM          int
-	hnswEfCons     int
-	efSearch       int
-	hnswSeed       uint64
-	hnswQuant      bool
-	hnswMExplicit  bool
-	hnswEfConsExpl bool
-	efSearchExpl   bool
-	hnswSeedExpl   bool
-	hnswQuantExpl  bool
-	// hnswSeedRows is the number of top-norm rows seeding each query's
-	// layer-0 beam (a serving knob like efSearch; 0 defaults to 4·ef,
-	// WithHNSWSeedRows(0) explicitly disables seeding).
-	hnswSeedRows     int
-	hnswSeedRowsExpl bool
-	// shardIdx/shardCnt restrict the candidate set to slice shardIdx of a
-	// shardCnt-way contiguous partition of [0, n) — the distributed-serving
-	// seam (WithShardSlice). The slice resolves to concrete bounds only
-	// once n is known, so the same option works for BuildIndex and for
-	// LoadIndex before the snapshot header is read. Never persisted: a
-	// snapshot always holds the full index, the slice is a serving choice.
-	shardIdx, shardCnt int
-	sliceSet           bool
-}
-
-// IndexOption configures BuildIndex (and LoadIndex overrides). It is an
-// interface so options can be shared across subsystems: WithThreads is
-// accepted both here and by the embedding pipeline's ctx entry points.
-type IndexOption interface {
-	applyIndex(*indexConfig)
-}
-
-// indexOptionFunc adapts a plain function to IndexOption.
-type indexOptionFunc func(*indexConfig)
-
-func (f indexOptionFunc) applyIndex(c *indexConfig) { f(c) }
-
-// WithBackend selects the scan strategy; BackendExact is the default.
-func WithBackend(b Backend) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.backend = b })
-}
-
-// WithShards partitions the candidate space into n shards, each scanned
-// by its own goroutine with a private top-k heap merged at the end
-// (0 = GOMAXPROCS, re-derived per host when a snapshot is loaded).
-func WithShards(n int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.shards, c.shardsExplicit = n, n > 0 })
-}
-
-// WithRerank sets the approximate backends' shortlist multiplier: the top
-// r·k approximately-scored candidates are re-scored exactly before the
-// final top k is taken. Higher r buys recall with more exact dot
-// products; the default is 4. Valid only for BackendQuantized and for
-// BackendHNSW with the quantized coarse stage — passing it to an exact
-// backend returns ErrIndexOptionConflict.
-func WithRerank(r int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.rerank, c.rerankExplicit = r, true })
-}
-
-// WithEfSearch sets the HNSW query beam width: the search keeps the best
-// ef candidates seen so far and stops when none of the frontier can
-// improve them. Higher ef buys recall with proportionally more score
-// evaluations. Valid only for BackendHNSW; it is a serving-time knob and
-// may also be passed to LoadIndex to override the persisted value.
-func WithEfSearch(ef int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.efSearch, c.efSearchExpl = ef, true })
-}
-
-// WithHNSWSeedRows sets how many of the highest-norm rows seed each HNSW
-// query's layer-0 beam. Seeding exploits NRP's heavy-tailed norm profile:
-// the seeds cover the hub rows every query shares (raising the beam's
-// admission threshold before any edge is followed), so a much narrower
-// beam recovers only the query-specific tail. The default is 4·efSearch;
-// WithHNSWSeedRows(0) disables seeding and restores the pure hierarchical
-// descent. Serving-time knob like WithEfSearch: valid only for
-// BackendHNSW, overridable at LoadIndex.
-func WithHNSWSeedRows(t int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.hnswSeedRows, c.hnswSeedRowsExpl = t, true })
-}
-
-// WithHNSWM sets the HNSW graph's out-degree budget M (layer 0 keeps 2M
-// links). Build-time only; baked into snapshots.
-func WithHNSWM(m int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.hnswM, c.hnswMExplicit = m, true })
-}
-
-// WithHNSWEfConstruction sets the beam width of build-time neighbor
-// searches. Build-time only; baked into snapshots.
-func WithHNSWEfConstruction(ef int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.hnswEfCons, c.hnswEfConsExpl = ef, true })
-}
-
-// WithHNSWSeed seeds the deterministic level assignment. Builds with the
-// same embedding, config and seed are bit-identical regardless of thread
-// count. Build-time only; baked into snapshots.
-func WithHNSWSeed(seed uint64) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.hnswSeed, c.hnswSeedExpl = seed, true })
-}
-
-// WithHNSWQuantized evaluates in-graph scores with the int8 quantized
-// kernel instead of the float64 kernel, then re-scores the top rerank·k
-// shortlist exactly (the quantized backend's contract). Cuts per-hop
-// memory traffic 8×. Build-time only; baked into snapshots.
-func WithHNSWQuantized(on bool) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.hnswQuant, c.hnswQuantExpl = on, true })
-}
-
-// WithShardSlice restricts the candidate set to slice i of a count-way
-// contiguous partition of the node space — the building block of
-// distributed scatter-gather serving: a fleet of processes, each built
-// (or loaded) with a distinct slice of the same embedding, together
-// covers [0, n) exactly once, and a stateless router (cmd/nrprouter)
-// merging their per-slice top-k answers reproduces the single-node
-// result. Slice boundaries are ShardRange(n, i, count), the same range
-// partition the in-process sharded scans use.
-//
-// Queries still accept any source node in [0, n) — only returned
-// candidates are restricted — and ScoreMany stays global (the full
-// embedding is always held). Valid for the scan backends (exact, pruned,
-// quantized, whose results stay exact over the slice); BackendHNSW's
-// graph traversal is global by construction, so combining it with a
-// slice returns ErrIndexOptionConflict. A slice-restricted Searcher
-// cannot be persisted with SaveIndex.
-func WithShardSlice(i, count int) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.shardIdx, c.shardCnt, c.sliceSet = i, count, true })
-}
-
-// ShardRange computes the half-open node range [lo, hi) that slice i of a
-// count-way partition covers: the same contiguous range partition the
-// sharded in-process scans use, lifted to process granularity so shard
-// servers and the router agree on boundaries without coordination.
-func ShardRange(n, i, count int) (lo, hi int) {
-	return contiguousSpan(n, i, count)
-}
-
-// WithIncludeSelf admits the query node itself as a result; by default it
-// is excluded, matching the link-prediction use of proximity scores.
-func WithIncludeSelf(on bool) IndexOption {
-	return indexOptionFunc(func(c *indexConfig) { c.includeSelf = on })
-}
-
-const defaultRerank = 4
-
-func resolveConfig(opts []IndexOption) (indexConfig, error) {
-	cfg := indexConfig{backend: BackendExact, rerank: defaultRerank}
-	for _, o := range opts {
-		if o != nil {
-			o.applyIndex(&cfg)
-		}
-	}
-	if err := cfg.validate(); err != nil {
-		return cfg, err
-	}
-	if cfg.shards == 0 {
-		cfg.shards = runtime.GOMAXPROCS(0)
-	}
-	return cfg, nil
-}
-
-// validate checks option values and backend/option compatibility; it is
-// shared by BuildIndex and LoadIndex. Size-dependent checks (explicit
-// shard counts vs n) live in validateSize, which runs once the embedding
-// is known.
-func (c *indexConfig) validate() error {
-	switch c.backend {
-	case BackendExact, BackendQuantized, BackendPruned, BackendHNSW:
-	default:
-		return fmt.Errorf("nrp: unknown backend %d: %w", int(c.backend), ErrInvalidIndexOption)
-	}
-	if c.shards < 0 {
-		return fmt.Errorf("nrp: shards must be non-negative, got %d: %w", c.shards, ErrInvalidIndexOption)
-	}
-	if c.rerank < 1 {
-		return fmt.Errorf("nrp: rerank multiplier must be at least 1, got %d: %w", c.rerank, ErrInvalidIndexOption)
-	}
-	if c.hnswMExplicit && c.hnswM < 2 {
-		return fmt.Errorf("nrp: HNSW M must be at least 2, got %d: %w", c.hnswM, ErrInvalidIndexOption)
-	}
-	if c.hnswEfConsExpl && c.hnswEfCons < 1 {
-		return fmt.Errorf("nrp: HNSW efConstruction must be positive, got %d: %w", c.hnswEfCons, ErrInvalidIndexOption)
-	}
-	if c.efSearchExpl && c.efSearch < 1 {
-		return fmt.Errorf("nrp: efSearch must be positive, got %d: %w", c.efSearch, ErrInvalidIndexOption)
-	}
-	if c.hnswSeedRowsExpl && c.hnswSeedRows < 0 {
-		return fmt.Errorf("nrp: HNSW seed rows must be non-negative, got %d: %w", c.hnswSeedRows, ErrInvalidIndexOption)
-	}
-	if c.backend != BackendHNSW {
-		switch {
-		case c.efSearchExpl:
-			return fmt.Errorf("nrp: WithEfSearch on %v backend: %w", c.backend, ErrIndexOptionConflict)
-		case c.hnswSeedRowsExpl:
-			return fmt.Errorf("nrp: WithHNSWSeedRows on %v backend: %w", c.backend, ErrIndexOptionConflict)
-		case c.hnswMExplicit, c.hnswEfConsExpl, c.hnswSeedExpl, c.hnswQuantExpl:
-			return fmt.Errorf("nrp: HNSW build options on %v backend: %w", c.backend, ErrIndexOptionConflict)
-		}
-	}
-	if c.rerankExplicit {
-		switch {
-		case c.backend == BackendExact, c.backend == BackendPruned:
-			return fmt.Errorf("nrp: WithRerank on %v backend (results are already exact): %w", c.backend, ErrIndexOptionConflict)
-		case c.backend == BackendHNSW && !c.hnswQuant:
-			return fmt.Errorf("nrp: WithRerank on hnsw backend without WithHNSWQuantized (scores are already exact): %w", ErrIndexOptionConflict)
-		}
-	}
-	if c.sliceSet {
-		if c.shardCnt < 1 || c.shardIdx < 0 || c.shardIdx >= c.shardCnt {
-			return fmt.Errorf("nrp: shard slice %d/%d out of range: %w", c.shardIdx, c.shardCnt, ErrInvalidIndexOption)
-		}
-		if c.backend == BackendHNSW {
-			return fmt.Errorf("nrp: WithShardSlice on hnsw backend (graph traversal is global): %w", ErrIndexOptionConflict)
-		}
-	}
-	return nil
-}
-
-// validateSize checks configuration against the index size: an explicit
-// shard count larger than n means most shards scan nothing — a
-// configuration mistake, not a tuning choice. Defaulted (host-derived)
-// counts are clamped instead, as before.
-func (c *indexConfig) validateSize(n int) error {
-	if c.shardsExplicit && c.shards > n {
-		return fmt.Errorf("nrp: %d shards exceed index size %d: %w", c.shards, n, ErrInvalidIndexOption)
-	}
-	if c.sliceSet && c.shardCnt > n {
-		return fmt.Errorf("nrp: %d shard slices exceed index size %d: %w", c.shardCnt, n, ErrInvalidIndexOption)
-	}
-	return nil
-}
-
-// candRange resolves the candidate node range a query may return: the
-// configured shard slice, or all of [0, n) on an unrestricted index.
-func (c *indexConfig) candRange(n int) (lo, hi int) {
-	if !c.sliceSet {
-		return 0, n
-	}
-	return contiguousSpan(n, c.shardIdx, c.shardCnt)
-}
-
-// availCandidates counts the results a query for source u can maximally
-// return: the candidate range, minus the source itself when it lies
-// inside the range and self-results are excluded.
-func (c *indexConfig) availCandidates(n, u int) int {
-	lo, hi := c.candRange(n)
-	avail := hi - lo
-	if !c.includeSelf && u >= lo && u < hi {
-		avail--
-	}
-	return avail
+// backends is indexed by Backend. build runs the backend's build-time
+// preprocessing (it may write resolved defaults back into cfg); decode
+// reads the payload build's kernel would have written. decode is nil for
+// HNSW, which no header names: its graph rides in a trailing section
+// behind an exact or quantized base (see readHNSWSection).
+var backends = [...]struct {
+	build  func(emb *Embedding, cfg *indexConfig) kernel
+	decode func(br *bufio.Reader, emb *Embedding) (kernel, error)
+}{
+	BackendExact:     {buildExact, decodeExact},
+	BackendQuantized: {buildQuant, decodeQuant},
+	BackendPruned:    {buildPruned, decodePruned},
+	BackendHNSW:      {buildHNSW, nil},
 }
 
 // BuildIndex constructs a query index over emb with the selected backend:
@@ -427,386 +138,71 @@ func (c *indexConfig) availCandidates(n, u int) int {
 // preprocessing (quantization, norm sorting) happens here once, and can
 // be persisted with SaveIndex so a server boots without redoing it.
 func BuildIndex(emb *Embedding, opts ...IndexOption) (Searcher, error) {
-	cfg, err := resolveConfig(opts)
+	ix, err := buildIndex(emb, opts)
 	if err != nil {
+		return nil, err // not ix: a nil *index in a Searcher is not nil
+	}
+	return ix, nil
+}
+
+func buildIndex(emb *Embedding, opts []IndexOption) (*index, error) {
+	ix := &index{emb: emb, cfg: indexConfig{backend: BackendExact, rerank: defaultRerank}}
+	ix.cfg.apply(opts)
+	if err := ix.cfg.resolve(emb.N()); err != nil {
 		return nil, err
 	}
-	if err := cfg.validateSize(emb.N()); err != nil {
+	ix.kern = backends[ix.cfg.backend].build(emb, &ix.cfg)
+	if err := ix.kern.bind(emb, &ix.cfg); err != nil {
 		return nil, err
 	}
-	switch cfg.backend {
-	case BackendQuantized:
-		return newQuantIndex(emb, cfg), nil
-	case BackendPruned:
-		return newPrunedIndex(emb, cfg), nil
-	case BackendHNSW:
-		return newHNSWIndex(emb, cfg), nil
-	default:
-		return &Index{emb: emb, cfg: cfg}, nil
-	}
-}
-
-// LiveIndex is a Searcher over a DynamicEmbedding whose backing index is
-// atomically swapped on refresh — RCU semantics: every query captures the
-// current index once at its start and runs against it to completion, so
-// in-flight queries finish on the old index while new queries see the new
-// one, with zero downtime and no locking on the query path.
-//
-//	dyn, _ := nrp.NewDynamicEmbedding(ctx, g, opt, nrp.DynamicConfig{})
-//	live, _ := nrp.NewLiveIndex(dyn, nrp.WithBackend(nrp.BackendQuantized))
-//	live.TopK(ctx, u, 10)                   // serves the current index
-//	live.ApplyUpdates(ctx, updates)         // graph changes take effect...
-//	live.Refresh(ctx)                       // ...here: rebuild + atomic swap
-//
-// ApplyUpdates and Refresh serialize behind a mutex; queries never block
-// on them.
-type LiveIndex struct {
-	mu       sync.Mutex // serializes updates and refreshes, not queries
-	dyn      *DynamicEmbedding
-	opts     []IndexOption
-	cur      atomic.Pointer[searcherBox]
-	swaps    atomic.Uint64
-	lastSwap atomic.Int64 // unix nanos of the latest index swap
-}
-
-// searcherBox keeps the atomic pointer monomorphic while the boxed
-// Searcher may be any backend.
-type searcherBox struct{ s Searcher }
-
-// Interface check: LiveIndex serves queries like any static backend.
-var _ Searcher = (*LiveIndex)(nil)
-
-// NewLiveIndex builds the initial index over dyn's current embedding with
-// the given options (backend, shards, rerank — as in BuildIndex) and
-// returns the live wrapper. Every Refresh rebuilds with the same options.
-func NewLiveIndex(dyn *DynamicEmbedding, opts ...IndexOption) (*LiveIndex, error) {
-	s, err := BuildIndex(dyn.Embedding(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	li := &LiveIndex{dyn: dyn, opts: opts}
-	li.cur.Store(&searcherBox{s: s})
-	li.lastSwap.Store(time.Now().UnixNano())
-	return li, nil
-}
-
-// Swaps reports how many times the backing index has been rebuilt and
-// swapped in by Refresh since construction.
-func (li *LiveIndex) Swaps() uint64 { return li.swaps.Load() }
-
-// LastSwap reports when the current backing index was installed (the
-// construction time until the first refresh swap). Observability uses
-// this to derive refresh lag — how stale the serving index is.
-func (li *LiveIndex) LastSwap() time.Time {
-	return time.Unix(0, li.lastSwap.Load())
-}
-
-// Searcher returns the current backing index. The returned value stays
-// valid (and immutable) after subsequent swaps; callers wanting the RCU
-// guarantee for a multi-call sequence should capture it once.
-func (li *LiveIndex) Searcher() Searcher { return li.cur.Load().s }
-
-// Dynamic returns the maintained embedding.
-func (li *LiveIndex) Dynamic() *DynamicEmbedding { return li.dyn }
-
-// Pending reports the number of edge updates applied since the index was
-// last refreshed.
-func (li *LiveIndex) Pending() int { return li.dyn.Pending() }
-
-// Backend reports the backend of the current backing index.
-func (li *LiveIndex) Backend() Backend {
-	if b, ok := li.Searcher().(interface{ Backend() Backend }); ok {
-		return b.Backend()
-	}
-	return BackendExact
-}
-
-// ApplyUpdates applies a batch of edge updates to the underlying graph.
-// The serving index is unaffected until the next Refresh.
-func (li *LiveIndex) ApplyUpdates(ctx context.Context, ups []EdgeUpdate) (int, error) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.dyn.ApplyUpdates(ctx, ups)
-}
-
-// Refresh refreshes the embedding under its configured policy and, if the
-// embedding changed, rebuilds the index and atomically swaps it in.
-// Queries running during the swap finish on the old index.
-func (li *LiveIndex) Refresh(ctx context.Context) (*RefreshStats, error) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	st, err := li.dyn.Refresh(ctx)
-	if err != nil {
-		return st, err
-	}
-	if st.Mode == RefreshedSkipped {
-		return st, nil
-	}
-	s, err := BuildIndex(li.dyn.Embedding(), li.opts...)
-	if err != nil {
-		return st, fmt.Errorf("nrp: rebuilding live index: %w", err)
-	}
-	li.cur.Store(&searcherBox{s: s})
-	li.swaps.Add(1)
-	li.lastSwap.Store(time.Now().UnixNano())
-	return st, nil
-}
-
-// TopK answers against the current index (captured once per call).
-func (li *LiveIndex) TopK(ctx context.Context, u, k int) ([]Neighbor, error) {
-	return li.Searcher().TopK(ctx, u, k)
-}
-
-// TopKMany answers against the current index (captured once per call, so
-// a whole batch sees one consistent snapshot).
-func (li *LiveIndex) TopKMany(ctx context.Context, us []int, k int) ([]Result, error) {
-	return li.Searcher().TopKMany(ctx, us, k)
-}
-
-// ScoreMany answers against the current index (captured once per call).
-func (li *LiveIndex) ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error) {
-	return li.Searcher().ScoreMany(ctx, pairs)
+	return ix, nil
 }
 
 // N reports the number of indexed nodes.
-func (li *LiveIndex) N() int { return li.Searcher().N() }
+func (ix *index) N() int { return ix.emb.N() }
 
-// IndexOptions configure NewIndex, the v1 constructor.
-type IndexOptions struct {
-	// Workers is the number of scan shards (0 = GOMAXPROCS).
-	Workers int
-	// IncludeSelf admits the query node itself as a result.
-	IncludeSelf bool
-}
-
-// Index is the exact brute-force Searcher: every candidate is scored with
-// the float64 kernel, sharded across goroutines. It is the reference
-// implementation the approximate backends are tested against.
-type Index struct {
-	emb *Embedding
-	cfg indexConfig
-}
-
-// Interface check: Index is the reference Searcher backend.
-var _ Searcher = (*Index)(nil)
-
-// NewIndex builds an exact query index over emb.
-//
-// Deprecated: use BuildIndex, which selects backends and validates its
-// configuration. NewIndex remains as the zero-error construction path.
-func NewIndex(emb *Embedding, opts ...IndexOptions) *Index {
-	var o IndexOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	cfg := indexConfig{backend: BackendExact, rerank: defaultRerank,
-		shards: o.Workers, shardsExplicit: o.Workers > 0, includeSelf: o.IncludeSelf}
-	if cfg.shards <= 0 {
-		cfg.shards = runtime.GOMAXPROCS(0)
-	}
-	return &Index{emb: emb, cfg: cfg}
-}
-
-// N reports the number of indexed nodes.
-func (ix *Index) N() int { return ix.emb.N() }
-
-// Backend reports BackendExact.
-func (ix *Index) Backend() Backend { return BackendExact }
-
-// ctxCheckStride is how many candidates a scan worker processes between
-// context checks — frequent enough for sub-millisecond cancellation, rare
-// enough to stay off the hot path.
-const ctxCheckStride = 4096
-
-// validateQuery checks a top-k query against the index size, wrapping the
-// sentinel errors.
-func validateQuery(n, u, k int) error {
-	if u < 0 || u >= n {
-		return fmt.Errorf("nrp: TopK source %d out of range [0,%d): %w", u, n, ErrNodeOutOfRange)
-	}
-	if k <= 0 {
-		return fmt.Errorf("nrp: TopK k=%d: %w", k, ErrInvalidK)
-	}
-	return nil
-}
-
-// clampK limits k to the number of eligible candidates.
-func clampK(n, k int, includeSelf bool) int {
-	max := n
-	if !includeSelf {
-		max--
-	}
-	if k > max {
-		k = max
-	}
-	return k
-}
+// Backend reports the backend the index was built with.
+func (ix *index) Backend() Backend { return ix.cfg.backend }
 
 // TopK returns the k nodes with the highest directed proximity from u,
 // sorted by decreasing score (ties broken by ascending node id, so results
 // are deterministic). k is clamped to the number of eligible candidates.
-func (ix *Index) TopK(ctx context.Context, u, k int) ([]Neighbor, error) {
+func (ix *index) TopK(ctx context.Context, u, k int) ([]Neighbor, error) {
 	nbrs, _, err := ix.topkOne(ctx, u, k, true)
 	return nbrs, err
 }
 
-// TopKMany answers a batch of top-k queries, parallelized across queries.
-func (ix *Index) TopKMany(ctx context.Context, us []int, k int) ([]Result, error) {
-	return topkMany(ctx, ix.emb.N(), ix.cfg.shards, us, k, ix.topkOne)
-}
-
-// topkOne runs one exact query. When parallel, each shard is scanned by
-// its own goroutine; otherwise shards are scanned inline (the TopKMany
-// path, which parallelizes across queries instead).
-func (ix *Index) topkOne(ctx context.Context, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
+// topkOne runs one query: the preamble every backend shares, then the
+// kernel. When parallel, each shard is scanned by its own goroutine;
+// otherwise shards are scanned inline (the TopKMany path, which
+// parallelizes across queries instead).
+func (ix *index) topkOne(ctx context.Context, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
 	start := time.Now()
-	var stats QueryStats
 	n := ix.emb.N()
-	if err := validateQuery(n, u, k); err != nil {
-		return nil, stats, err
+	if u < 0 || u >= n {
+		return nil, QueryStats{}, fmt.Errorf("nrp: TopK source %d out of range [0,%d): %w", u, n, ErrNodeOutOfRange)
+	}
+	if k <= 0 {
+		return nil, QueryStats{}, fmt.Errorf("nrp: TopK k=%d: %w", k, ErrInvalidK)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, stats, err
+		return nil, QueryStats{}, err
 	}
 	if avail := ix.cfg.availCandidates(n, u); k > avail {
 		k = avail
 	}
 	if k <= 0 {
-		return nil, stats, nil
+		return nil, QueryStats{}, nil
 	}
-
-	// The candidate range is all of [0, n) on an unrestricted index and
-	// this process's slice under WithShardSlice; per-query shard spans
-	// subdivide whatever the range is.
-	rlo, rhi := ix.cfg.candRange(n)
-	xu := ix.emb.X.Row(u)
-	scan := func(ctx context.Context, w, shards int, h *topkHeap) (scanned, pruned int, err error) {
-		lo, hi := contiguousSpan(rhi-rlo, w, shards)
-		lo, hi = lo+rlo, hi+rlo
-		for v := lo; v < hi; v++ {
-			if (v-lo)%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return scanned, 0, err
-				}
-			}
-			if v == u && !ix.cfg.includeSelf {
-				continue
-			}
-			h.offer(v, matrix.Dot(xu, ix.emb.Y.Row(v)))
-			scanned++
-		}
-		return scanned, 0, nil
-	}
-	nbrs, stats, err := runShardScan(ctx, rhi-rlo, ix.cfg.shards, k, parallel, scan)
+	nbrs, stats, err := ix.kern.search(ctx, ix, u, k, parallel)
 	stats.Elapsed = time.Since(start)
 	return nbrs, stats, err
 }
 
-// ScoreMany scores a batch of directed pairs, parallelized across the
-// index's shards. The result is aligned with pairs.
-func (ix *Index) ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error) {
-	return scoreManyExact(ctx, ix.emb, pairs, ix.cfg.shards)
-}
-
-// --- shared scan machinery ----------------------------------------------
-
-// shardScanFunc scores shard w's share of the n candidates into h —
-// contiguous span or strided sequence, the backend's choice — and
-// reports how many candidates it scored and skipped via an early-exit
-// bound.
-type shardScanFunc func(ctx context.Context, w, shards int, h *topkHeap) (scanned, pruned int, err error)
-
-// contiguousSpan is the default shard shape: shard w of `shards` covers
-// the half-open range [lo, hi) of [0, n).
-func contiguousSpan(n, w, shards int) (lo, hi int) {
-	chunk := (n + shards - 1) / shards
-	lo = w * chunk
-	hi = lo + chunk
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// runShardScan runs scan for every shard (concurrently when parallel)
-// and merges the per-shard heaps into the sorted global top k.
-func runShardScan(ctx context.Context, n, shards, k int, parallel bool, scan shardScanFunc) ([]Neighbor, QueryStats, error) {
-	var stats QueryStats
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-
-	heaps := make([]topkHeap, shards)
-	scanned := make([]int, shards)
-	pruned := make([]int, shards)
-	errs := make([]error, shards)
-	runOne := func(w int) {
-		h := newTopkHeap(k)
-		scanned[w], pruned[w], errs[w] = scan(ctx, w, shards, &h)
-		heaps[w] = h
-	}
-	if parallel && shards > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runOne(w)
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for w := 0; w < shards; w++ {
-			runOne(w)
-		}
-	}
-	for w, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Scanned += scanned[w]
-		stats.Pruned += pruned[w]
-	}
-
-	merged := newTopkHeap(k)
-	for _, h := range heaps {
-		for _, nb := range h.items {
-			merged.offer(nb.Node, nb.Score)
-		}
-	}
-	return sortNeighbors(merged.items), stats, nil
-}
-
-// sortNeighbors orders results by decreasing score, ties by ascending
-// node id, in place.
-func sortNeighbors(out []Neighbor) []Neighbor {
-	// slices.SortFunc over sort.Slice: the reflection-based swapper costs
-	// about a microsecond per call, which the graph backend's
-	// single-digit-microsecond queries actually notice.
-	slices.SortFunc(out, func(a, b Neighbor) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return a.Node - b.Node
-	})
-	return out
-}
-
-// topkOneFunc is a backend's single-query entry point.
-type topkOneFunc func(ctx context.Context, u, k int, parallel bool) ([]Neighbor, QueryStats, error)
-
-// topkMany validates a batch of sources up front, then answers them with
-// up to `workers` concurrent queries, each scanning its shards inline.
-func topkMany(ctx context.Context, n, workers int, us []int, k int, one topkOneFunc) ([]Result, error) {
+// TopKMany validates a batch of sources up front, then answers them with
+// up to cfg.shards concurrent queries, each scanning its shards inline.
+func (ix *index) TopKMany(ctx context.Context, us []int, k int) ([]Result, error) {
+	n, workers := ix.emb.N(), ix.cfg.shards
 	if k <= 0 {
 		return nil, fmt.Errorf("nrp: TopKMany k=%d: %w", k, ErrInvalidK)
 	}
@@ -833,7 +229,7 @@ func topkMany(ctx context.Context, n, workers int, us []int, k int, one topkOneF
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				nbrs, stats, err := one(ctx, us[i], k, false)
+				nbrs, stats, err := ix.topkOne(ctx, us[i], k, false)
 				out[i] = Result{Source: us[i], Neighbors: nbrs, Stats: stats}
 				errs[i] = err
 			}
@@ -852,10 +248,12 @@ func topkMany(ctx context.Context, n, workers int, us []int, k int, one topkOneF
 	return out, nil
 }
 
-// scoreManyExact scores a batch of directed pairs with the float64
-// kernel, shared by every backend (approximate backends still answer
-// point scores exactly — only top-k retrieval is approximated).
-func scoreManyExact(ctx context.Context, emb *Embedding, pairs []Pair, workers int) ([]float64, error) {
+// ScoreMany scores a batch of directed pairs with the float64 kernel,
+// parallelized across the index's shards; the result is aligned with
+// pairs. Every backend answers point scores exactly — only top-k
+// retrieval is approximated.
+func (ix *index) ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error) {
+	emb, workers := ix.emb, ix.cfg.shards
 	n := emb.N()
 	for i, p := range pairs {
 		if p.U < 0 || p.U >= n || p.V < 0 || p.V >= n {
@@ -869,112 +267,38 @@ func scoreManyExact(ctx context.Context, emb *Embedding, pairs []Pair, workers i
 	if workers > len(pairs) {
 		workers = len(pairs)
 	}
-	if workers <= 1 {
-		for i, p := range pairs {
-			if i%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			out[i] = emb.Score(p.U, p.V)
-		}
-		return out, nil
+	if workers < 1 {
+		workers = 1
 	}
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if (i-lo)%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
+	scoreChunk := func(w int) {
+		lo, hi := contiguousSpan(len(pairs), w, workers)
+		for i := lo; i < hi; i++ {
+			if (i-lo)%ctxCheckStride == 0 {
+				if errs[w] = ctx.Err(); errs[w] != nil {
+					return
 				}
-				out[i] = emb.Score(pairs[i].U, pairs[i].V)
 			}
-		}(w, lo, hi)
+			out[i] = emb.Score(pairs[i].U, pairs[i].V)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		scoreChunk(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				scoreChunk(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// weaker reports whether a ranks below b: lower score, or among equal
-// scores the higher node id (mirroring TopK's ascending-id tie-break).
-func weaker(a, b Neighbor) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Node > b.Node
-}
-
-// topkHeap is a fixed-capacity min-heap on score: the root is the weakest
-// of the current top k, so each candidate costs O(1) when it loses and
-// O(log k) when it displaces the root.
-type topkHeap struct {
-	items []Neighbor
-	cap   int
-}
-
-func newTopkHeap(k int) topkHeap { return topkHeap{items: make([]Neighbor, 0, k), cap: k} }
-
-// full reports whether the heap holds its full k items; min is then the
-// weakest retained score (the prune threshold).
-func (h *topkHeap) full() bool { return len(h.items) == h.cap }
-
-func (h *topkHeap) min() Neighbor { return h.items[0] }
-
-func (h *topkHeap) offer(node int, score float64) {
-	cand := Neighbor{Node: node, Score: score}
-	if len(h.items) < h.cap {
-		h.items = append(h.items, cand)
-		// Sift up.
-		i := len(h.items) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !weaker(h.items[i], h.items[parent]) {
-				break
-			}
-			h.items[i], h.items[parent] = h.items[parent], h.items[i]
-			i = parent
-		}
-		return
-	}
-	// Full: admit only candidates stronger than the current weakest (root).
-	if !weaker(h.items[0], cand) {
-		return
-	}
-	h.items[0] = cand
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && weaker(h.items[l], h.items[smallest]) {
-			smallest = l
-		}
-		if r < len(h.items) && weaker(h.items[r], h.items[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
 }

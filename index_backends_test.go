@@ -35,7 +35,7 @@ func recallAt(got, want []Neighbor) float64 {
 func TestBackendsMatchExact(t *testing.T) {
 	emb := testEmbedding(t, 600)
 	ctx := context.Background()
-	exact := NewIndex(emb)
+	exact := mustBuildIndex(t, emb)
 	rng := rand.New(rand.NewSource(11))
 
 	cases := []struct {
@@ -221,7 +221,7 @@ func TestTypedSentinelErrors(t *testing.T) {
 func TestConcurrentQueriesSharedIndex(t *testing.T) {
 	emb := testEmbedding(t, 300)
 	ctx := context.Background()
-	exact := NewIndex(emb, IndexOptions{Workers: 1})
+	exact := mustBuildIndex(t, emb, WithShards(1))
 	want := make(map[int][]Neighbor)
 	for u := 0; u < 8; u++ {
 		nbrs, err := exact.TopK(ctx, u, 5)
@@ -385,14 +385,13 @@ func TestSnapshotShardPortability(t *testing.T) {
 		t.Fatalf("explicit shards persisted as %d, want 3", got)
 	}
 
-	// The v1 constructor's explicit Workers choice round-trips the same
-	// way as WithShards.
+	// The default backend persists an explicit choice the same way.
 	buf.Reset()
-	if err := SaveIndex(&buf, NewIndex(emb, IndexOptions{Workers: 5})); err != nil {
+	if err := SaveIndex(&buf, mustBuildIndex(t, emb, WithShards(5))); err != nil {
 		t.Fatal(err)
 	}
 	if got := shardField(buf.Bytes()); got != 5 {
-		t.Fatalf("NewIndex Workers persisted as %d, want 5", got)
+		t.Fatalf("explicit shards on the default backend persisted as %d, want 5", got)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func TestHNSWRecallVsExact(t *testing.T) {
 	emb := testEmbedding(t, 1200)
 	ctx := context.Background()
-	exact := NewIndex(emb)
+	exact := mustBuildIndex(t, emb)
 
 	for _, tc := range []struct {
 		name string

@@ -2,16 +2,11 @@ package nrp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"runtime"
 
-	"github.com/nrp-embed/nrp/internal/ann"
 	"github.com/nrp-embed/nrp/internal/matrix"
-	"github.com/nrp-embed/nrp/internal/quant"
 )
 
 // Index snapshots persist a built Searcher — embedding plus the
@@ -22,89 +17,24 @@ import (
 // Format (little-endian): the magic "NRPX", an int64 header
 // {version, backend, shards, rerank, includeSelf, n, dim}, the X then Y
 // float64 payloads, and a backend-specific payload (quantized: dim
-// scales + n·dim int8 codes; pruned: n int32 permutation).
-//
-// An HNSW snapshot is framed as a valid exact (or, with the quantized
-// coarse stage, quantized) snapshot followed by a trailing section:
-// the magic "NRPH", int64 {sectionVersion, payloadLen}, the ann graph
-// payload, and its CRC-32C. Readers of the base format stop after the
-// base payload and never see the section, so an old binary loads the
-// same file as a scan index over the identical embedding; readers that
-// know the section reconstruct the graph without rebuilding it.
+// scales + n·dim int8 codes; pruned: n int32 permutation; HNSW: an exact
+// or quantized base followed by the trailing section index_hnsw.go
+// documents). The header and embedding are read and written here; each
+// payload belongs to its backend's kernel.
 const (
 	indexMagic   = "NRPX"
 	indexVersion = 1
-
-	hnswSectionMagic   = "NRPH"
-	hnswSectionVersion = 1
 )
-
-// indexCRCTable is the CRC-32C (Castagnoli) table guarding the HNSW
-// section payload, matching the NRPG snapshot checksums.
-var indexCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveIndex writes a snapshot of a Searcher built by BuildIndex (or
 // loaded by LoadIndex). Searcher implementations from outside this
 // package are rejected.
 func SaveIndex(w io.Writer, s Searcher) error {
-	var (
-		emb     *Embedding
-		cfg     indexConfig
-		payload func(*bufio.Writer) error
-		section func(*bufio.Writer) error
-	)
-	quantPayload := func(qy *quant.Matrix) func(*bufio.Writer) error {
-		return func(bw *bufio.Writer) error {
-			if err := binary.Write(bw, binary.LittleEndian, qy.Scales); err != nil {
-				return err
-			}
-			return binary.Write(bw, binary.LittleEndian, qy.Codes)
-		}
-	}
-	switch ix := s.(type) {
-	case *Index:
-		emb, cfg = ix.emb, ix.cfg
-		payload = func(*bufio.Writer) error { return nil }
-	case *quantIndex:
-		emb, cfg = ix.emb, ix.cfg
-		payload = quantPayload(ix.qy)
-	case *prunedIndex:
-		emb, cfg = ix.emb, ix.cfg
-		payload = func(bw *bufio.Writer) error {
-			return binary.Write(bw, binary.LittleEndian, ix.perm)
-		}
-	case *hnswIndex:
-		emb, cfg = ix.emb, ix.cfg
-		// The header names the base backend an old reader should fall
-		// back to; the graph itself rides in the trailing section.
-		if ix.qy != nil {
-			cfg.backend = BackendQuantized
-			payload = quantPayload(ix.qy)
-		} else {
-			cfg.backend = BackendExact
-			payload = func(*bufio.Writer) error { return nil }
-		}
-		section = func(bw *bufio.Writer) error {
-			var buf bytes.Buffer
-			if err := ix.g.Encode(&buf); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(hnswSectionMagic); err != nil {
-				return err
-			}
-			for _, h := range []int64{hnswSectionVersion, int64(buf.Len())} {
-				if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.Write(buf.Bytes()); err != nil {
-				return err
-			}
-			return binary.Write(bw, binary.LittleEndian, crc32.Checksum(buf.Bytes(), indexCRCTable))
-		}
-	default:
+	ix, ok := s.(*index)
+	if !ok {
 		return fmt.Errorf("nrp: SaveIndex: unsupported Searcher %T", s)
 	}
+	emb, cfg := ix.emb, &ix.cfg
 	if cfg.sliceSet {
 		// A slice-restricted index holds filtered build state (the pruned
 		// backend's permutation); snapshots always persist the full index.
@@ -126,7 +56,7 @@ func SaveIndex(w io.Writer, s Searcher) error {
 	if cfg.shardsExplicit {
 		shards = int64(cfg.shards)
 	}
-	header := []int64{indexVersion, int64(cfg.backend), shards,
+	header := []int64{indexVersion, int64(ix.kern.snapshotBackend()), shards,
 		int64(cfg.rerank), self, int64(emb.N()), int64(emb.Dim())}
 	for _, h := range header {
 		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
@@ -138,13 +68,8 @@ func SaveIndex(w io.Writer, s Searcher) error {
 			return err
 		}
 	}
-	if err := payload(bw); err != nil {
+	if err := ix.kern.writePayload(bw); err != nil {
 		return err
-	}
-	if section != nil {
-		if err := section(bw); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
@@ -194,136 +119,38 @@ func LoadIndex(r io.Reader, opts ...IndexOption) (Searcher, error) {
 	}
 
 	// Base backend payload.
-	var (
-		qy   *quant.Matrix
-		perm []int32
-	)
-	switch stored.backend {
-	case BackendExact:
-	case BackendQuantized:
-		qy = &quant.Matrix{N: int(n), Dim: int(dim),
-			Scales: make([]float64, dim), Codes: make([]int8, n*dim)}
-		if err := binary.Read(br, binary.LittleEndian, qy.Scales); err != nil {
-			return nil, fmt.Errorf("nrp: reading quantization scales: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, qy.Codes); err != nil {
-			return nil, fmt.Errorf("nrp: reading quantization codes: %w", err)
-		}
-	case BackendPruned:
-		perm = make([]int32, n)
-		if err := binary.Read(br, binary.LittleEndian, perm); err != nil {
-			return nil, fmt.Errorf("nrp: reading norm permutation: %w", err)
-		}
-		seen := make([]bool, n)
-		for _, v := range perm {
-			if v < 0 || int64(v) >= n || seen[v] {
-				return nil, fmt.Errorf("nrp: corrupt norm permutation (node %d)", v)
-			}
-			seen[v] = true
-		}
-	default:
+	if backend < 0 || backend >= int64(len(backends)) || backends[backend].decode == nil {
 		return nil, fmt.Errorf("nrp: snapshot names unknown backend %d", backend)
+	}
+	kern, err := backends[backend].decode(br, emb)
+	if err != nil {
+		return nil, err
 	}
 
 	// Trailing HNSW section. A base-format snapshot simply ends here; any
 	// trailing bytes must be a well-formed, checksummed graph section.
-	var graph *ann.Index
 	if _, err := br.Peek(1); err == nil {
-		graph, err = readHNSWSection(br, emb.Y)
-		if err != nil {
+		if kern, err = readHNSWSection(br, emb, kern, &stored); err != nil {
 			return nil, err
 		}
-		if stored.backend == BackendPruned {
-			return nil, fmt.Errorf("nrp: HNSW section on a pruned base snapshot")
-		}
-		ac := graph.Config()
-		stored.backend = BackendHNSW
-		stored.hnswM, stored.hnswEfCons, stored.efSearch, stored.hnswSeed = ac.M, ac.EfConstruction, ac.EfSearch, ac.Seed
-		stored.hnswQuant = qy != nil
 	} else if err != io.EOF {
 		return nil, fmt.Errorf("nrp: probing for index sections: %w", err)
 	}
 
-	cfg := stored
-	for _, o := range opts {
-		if o != nil {
-			o.applyIndex(&cfg)
-		}
-	}
+	ix := &index{emb: emb, cfg: stored, kern: kern}
+	cfg := &ix.cfg
+	cfg.apply(opts)
 	if cfg.backend != stored.backend {
 		return nil, fmt.Errorf("nrp: snapshot was built with backend %v, cannot load as %v", stored.backend, cfg.backend)
 	}
 	if cfg.hnswMExplicit || cfg.hnswEfConsExpl || cfg.hnswSeedExpl || cfg.hnswQuantExpl {
 		return nil, fmt.Errorf("nrp: HNSW build parameters are baked into the snapshot; only serving options (WithEfSearch, WithHNSWSeedRows, WithShards, WithRerank, WithIncludeSelf) can be overridden at load: %w", ErrIndexOptionConflict)
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.resolve(int(n)); err != nil {
 		return nil, err
 	}
-	if err := cfg.validateSize(int(n)); err != nil {
+	if err := kern.bind(emb, cfg); err != nil {
 		return nil, err
 	}
-	if cfg.shards == 0 {
-		cfg.shards = runtime.GOMAXPROCS(0)
-	}
-
-	switch cfg.backend {
-	case BackendExact:
-		return &Index{emb: emb, cfg: cfg}, nil
-	case BackendQuantized:
-		return loadedQuantIndex(emb, cfg, qy), nil
-	case BackendPruned:
-		ix := loadedPrunedIndex(emb, cfg, perm, nil)
-		// The early-exit bound assumes positions are in non-increasing norm
-		// order; a bijective but shuffled permutation would silently drop
-		// results, so reject it here.
-		for i := 1; i < len(ix.norms); i++ {
-			if ix.norms[i] > ix.norms[i-1] {
-				return nil, fmt.Errorf("nrp: corrupt norm permutation (norms not sorted at position %d)", i)
-			}
-		}
-		return ix, nil
-	default:
-		return loadedHNSWIndex(emb, cfg, graph, qy), nil
-	}
-}
-
-// readHNSWSection parses and verifies the trailing graph section: magic,
-// version, length-prefixed payload, CRC-32C, then the graph's own
-// structural validation against the embedding it will search.
-func readHNSWSection(br *bufio.Reader, y *matrix.Dense) (*ann.Index, error) {
-	magic := make([]byte, len(hnswSectionMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("nrp: reading index section magic: %w", err)
-	}
-	if string(magic) != hnswSectionMagic {
-		return nil, fmt.Errorf("nrp: bad index section magic %q", magic)
-	}
-	var sversion, plen int64
-	for _, p := range []*int64{&sversion, &plen} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("nrp: reading index section header: %w", err)
-		}
-	}
-	if sversion != hnswSectionVersion {
-		return nil, fmt.Errorf("nrp: unsupported index section version %d", sversion)
-	}
-	if plen < 0 || plen > 1<<38 {
-		return nil, fmt.Errorf("nrp: implausible index section length %d", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("nrp: reading index section payload: %w", err)
-	}
-	var sum uint32
-	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
-		return nil, fmt.Errorf("nrp: reading index section checksum: %w", err)
-	}
-	if got := crc32.Checksum(payload, indexCRCTable); got != sum {
-		return nil, fmt.Errorf("nrp: index section checksum mismatch (stored %08x, computed %08x)", sum, got)
-	}
-	graph, err := ann.Decode(payload, y)
-	if err != nil {
-		return nil, fmt.Errorf("nrp: decoding HNSW section: %w", err)
-	}
-	return graph, nil
+	return ix, nil
 }

@@ -1,30 +1,30 @@
 package nrp
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"sort"
-	"time"
 
 	"github.com/nrp-embed/nrp/internal/matrix"
 	"github.com/nrp-embed/nrp/internal/par"
 )
 
-// prunedIndex is the norm-pruned Searcher backend. At build time the
-// backward embeddings are sorted by decreasing ‖Y_v‖ and copied into that
-// order; a query scans positions in decreasing-norm order and stops as
-// soon as the Cauchy–Schwarz bound ‖X_u‖·‖Y_v‖ falls below the current
-// k-th best score — every remaining candidate is then provably weaker.
-// Results are exact; the win over BackendExact grows with the skew of the
-// norm distribution, which NRP's degree-targeted reweighting makes heavy-
+// prunedKernel is the norm-pruned backend. At build time the backward
+// embeddings are sorted by decreasing ‖Y_v‖ and copied into that order; a
+// query scans positions in decreasing-norm order and stops as soon as the
+// Cauchy–Schwarz bound ‖X_u‖·‖Y_v‖ falls below the current k-th best
+// score — every remaining candidate is then provably weaker. Results are
+// exact; the win over BackendExact grows with the skew of the norm
+// distribution, which NRP's degree-targeted reweighting makes heavy-
 // tailed on real graphs.
 //
 // Shards take strided position sequences (w, w+S, w+2S, …) so each shard
 // sees the global decreasing-norm profile and its private top-k heap
 // saturates with strong candidates early, triggering its early exit after
 // a few multiples of k candidates instead of a shard-local norm tail.
-type prunedIndex struct {
-	emb *Embedding
-	cfg indexConfig
+type prunedKernel struct {
 	// perm maps scan position to original node id, norms[i] = ‖Y_perm[i]‖,
 	// decreasing; ys holds Y's rows in perm order for scan locality.
 	perm  []int32
@@ -32,13 +32,10 @@ type prunedIndex struct {
 	ys    *matrix.Dense
 }
 
-var _ Searcher = (*prunedIndex)(nil)
-
-func newPrunedIndex(emb *Embedding, cfg indexConfig) *prunedIndex {
+func buildPruned(emb *Embedding, cfg *indexConfig) kernel {
 	n := emb.N()
 	norms := make([]float64, n)
-	pool := par.New(cfg.buildThreads)
-	pool.For(n, func(_, lo, hi int) {
+	par.New(cfg.buildThreads).For(n, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			norms[v] = matrix.Norm2(emb.Y.Row(v))
 		}
@@ -48,90 +45,81 @@ func newPrunedIndex(emb *Embedding, cfg indexConfig) *prunedIndex {
 		perm[v] = int32(v)
 	}
 	sort.SliceStable(perm, func(i, j int) bool { return norms[perm[i]] > norms[perm[j]] })
-	return loadedPrunedIndex(emb, cfg, perm, norms)
+	return &prunedKernel{perm: perm}
 }
 
-// loadedPrunedIndex rebuilds a pruned index from a permutation without
-// re-sorting; the reordered row copy is always rebuilt (it is cheaper to
-// copy than to store twice). nodeNorms, when non-nil, supplies the
-// per-node norms already computed by the build path; the snapshot load
-// path passes nil and recomputes them from the rows.
+// decodePruned reads the snapshot payload, the n-entry int32 permutation,
+// so a loaded index serves without re-sorting.
+func decodePruned(br *bufio.Reader, emb *Embedding) (kernel, error) {
+	n := emb.N()
+	perm := make([]int32, n)
+	if err := binary.Read(br, binary.LittleEndian, perm); err != nil {
+		return nil, fmt.Errorf("nrp: reading norm permutation: %w", err)
+	}
+	seen := make([]bool, n)
+	for _, v := range perm {
+		if v < 0 || int(v) >= n || seen[v] {
+			return nil, fmt.Errorf("nrp: corrupt norm permutation (node %d)", v)
+		}
+		seen[v] = true
+	}
+	return &prunedKernel{perm: perm}, nil
+}
+
+// bind copies Y's rows into scan order; the reordered copy is never
+// persisted (it is cheaper to copy than to store twice).
 //
 // Under WithShardSlice the permutation is filtered to the slice's node
 // range first: a subsequence of a norm-sorted sequence stays sorted, so
 // the early-exit bound is unchanged and per-slice results remain exact
 // over the slice's candidates.
-func loadedPrunedIndex(emb *Embedding, cfg indexConfig, perm []int32, nodeNorms []float64) *prunedIndex {
+func (p *prunedKernel) bind(emb *Embedding, cfg *indexConfig) error {
 	n, dim := emb.N(), emb.Dim()
 	if rlo, rhi := cfg.candRange(n); rlo != 0 || rhi != n {
 		kept := make([]int32, 0, rhi-rlo)
-		for _, v := range perm {
+		for _, v := range p.perm {
 			if int(v) >= rlo && int(v) < rhi {
 				kept = append(kept, v)
 			}
 		}
-		perm = kept
+		p.perm = kept
 	}
-	m := len(perm)
-	ix := &prunedIndex{emb: emb, cfg: cfg, perm: perm,
-		norms: make([]float64, m), ys: matrix.NewDense(m, dim)}
+	m := len(p.perm)
+	p.norms, p.ys = make([]float64, m), matrix.NewDense(m, dim)
 	par.New(cfg.buildThreads).For(m, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := perm[i]
-			copy(ix.ys.Row(i), emb.Y.Row(int(v)))
-			if nodeNorms != nil {
-				ix.norms[i] = nodeNorms[v]
-			} else {
-				ix.norms[i] = matrix.Norm2(ix.ys.Row(i))
-			}
+			copy(p.ys.Row(i), emb.Y.Row(int(p.perm[i])))
+			p.norms[i] = matrix.Norm2(p.ys.Row(i))
 		}
 	})
-	return ix
+	// The early-exit bound assumes positions are in non-increasing norm
+	// order; a bijective but shuffled permutation from a snapshot would
+	// silently drop results, so reject it here.
+	for i := 1; i < m; i++ {
+		if p.norms[i] > p.norms[i-1] {
+			return fmt.Errorf("nrp: corrupt norm permutation (norms not sorted at position %d)", i)
+		}
+	}
+	return nil
 }
 
-func (ix *prunedIndex) N() int { return ix.emb.N() }
+func (*prunedKernel) snapshotBackend() Backend { return BackendPruned }
 
-// Backend reports BackendPruned.
-func (ix *prunedIndex) Backend() Backend { return BackendPruned }
-
-func (ix *prunedIndex) TopK(ctx context.Context, u, k int) ([]Neighbor, error) {
-	nbrs, _, err := ix.topkOne(ctx, u, k, true)
-	return nbrs, err
+// writePayload persists the full permutation; SaveIndex has already
+// refused an index whose permutation bind filtered to a slice.
+func (p *prunedKernel) writePayload(bw *bufio.Writer) error {
+	return binary.Write(bw, binary.LittleEndian, p.perm)
 }
 
-func (ix *prunedIndex) TopKMany(ctx context.Context, us []int, k int) ([]Result, error) {
-	return topkMany(ctx, ix.emb.N(), ix.cfg.shards, us, k, ix.topkOne)
-}
-
-func (ix *prunedIndex) ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error) {
-	return scoreManyExact(ctx, ix.emb, pairs, ix.cfg.shards)
-}
-
-func (ix *prunedIndex) topkOne(ctx context.Context, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
-	start := time.Now()
-	var stats QueryStats
-	n := ix.emb.N()
-	if err := validateQuery(n, u, k); err != nil {
-		return nil, stats, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	if avail := ix.cfg.availCandidates(n, u); k > avail {
-		k = avail
-	}
-	if k <= 0 {
-		return nil, stats, nil
-	}
-
+func (p *prunedKernel) search(ctx context.Context, ix *index, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
 	// m is the number of scan positions: all n nodes, or the slice's
 	// share when the permutation was filtered under WithShardSlice.
-	m := len(ix.perm)
+	m := len(p.perm)
 	xu := ix.emb.X.Row(u)
 	xnorm := matrix.Norm2(xu)
 	scan := func(ctx context.Context, w, shards int, h *topkHeap) (scanned, pruned int, err error) {
 		steps := 0
-		for p := w; p < m; p += shards {
+		for pos := w; pos < m; pos += shards {
 			if steps%ctxCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return scanned, pruned, err
@@ -143,20 +131,18 @@ func (ix *prunedIndex) topkOne(ctx context.Context, u, k int, parallel bool) ([]
 			// later position can either. The strict comparison preserves
 			// exactness under the ascending-node-id tie-break: an exact
 			// tie with the threshold could still displace a higher id.
-			if h.full() && xnorm*ix.norms[p] < h.min().Score {
-				pruned = (m - p + shards - 1) / shards
+			if h.full() && xnorm*p.norms[pos] < h.min().Score {
+				pruned = (m - pos + shards - 1) / shards
 				break
 			}
-			v := int(ix.perm[p])
+			v := int(p.perm[pos])
 			if v == u && !ix.cfg.includeSelf {
 				continue
 			}
-			h.offer(v, matrix.Dot(xu, ix.ys.Row(p)))
+			h.offer(v, matrix.Dot(xu, p.ys.Row(pos)))
 			scanned++
 		}
 		return scanned, pruned, nil
 	}
-	nbrs, stats, err := runShardScan(ctx, m, ix.cfg.shards, k, parallel, scan)
-	stats.Elapsed = time.Since(start)
-	return nbrs, stats, err
+	return runShardScan(ctx, m, ix.cfg.shards, k, parallel, scan)
 }

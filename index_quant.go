@@ -1,82 +1,66 @@
 package nrp
 
 import (
+	"bufio"
 	"context"
-	"time"
+	"encoding/binary"
+	"fmt"
 
 	"github.com/nrp-embed/nrp/internal/par"
 	"github.com/nrp-embed/nrp/internal/quant"
 )
 
-// quantIndex is the int8-quantized Searcher backend: the backward
-// embeddings are quantized once at build time (per-dimension symmetric
-// scales), each query folds those scales into X_u and scans every
-// candidate with the fused int32 kernel — an 8× reduction in memory
-// traffic over the float64 scan — and the top rerank·k shortlist is then
-// re-scored exactly, so returned scores are exact and only ranks beyond
-// the shortlist can be missed.
-type quantIndex struct {
-	emb *Embedding
-	cfg indexConfig
-	qy  *quant.Matrix
+// quantKernel is the int8-quantized backend: the backward embeddings are
+// quantized once at build time (per-dimension symmetric scales), each
+// query folds those scales into X_u and scans every candidate with the
+// fused int32 kernel — an 8× reduction in memory traffic over the float64
+// scan — and the top rerank·k shortlist is then re-scored exactly, so
+// returned scores are exact and only ranks beyond the shortlist can be
+// missed.
+type quantKernel struct {
+	qy *quant.Matrix
 }
 
-var _ Searcher = (*quantIndex)(nil)
+func buildQuant(emb *Embedding, cfg *indexConfig) kernel { return newQuantKernel(emb, cfg) }
 
-func newQuantIndex(emb *Embedding, cfg indexConfig) *quantIndex {
+func newQuantKernel(emb *Embedding, cfg *indexConfig) *quantKernel {
 	// Build-time quantization parallelizes over the WithThreads budget;
 	// the result is bit-identical for every thread count.
-	pool := par.New(cfg.buildThreads)
-	return &quantIndex{emb: emb, cfg: cfg, qy: quant.QuantizeRowsPool(pool, emb.Y)}
+	return &quantKernel{qy: quant.QuantizeRowsPool(par.New(cfg.buildThreads), emb.Y)}
 }
 
-// loadedQuantIndex rebuilds a quantized index from snapshot payload
-// without re-quantizing.
-func loadedQuantIndex(emb *Embedding, cfg indexConfig, qy *quant.Matrix) *quantIndex {
-	return &quantIndex{emb: emb, cfg: cfg, qy: qy}
-}
-
-func (ix *quantIndex) N() int { return ix.emb.N() }
-
-// Backend reports BackendQuantized.
-func (ix *quantIndex) Backend() Backend { return BackendQuantized }
-
-func (ix *quantIndex) TopK(ctx context.Context, u, k int) ([]Neighbor, error) {
-	nbrs, _, err := ix.topkOne(ctx, u, k, true)
-	return nbrs, err
-}
-
-func (ix *quantIndex) TopKMany(ctx context.Context, us []int, k int) ([]Result, error) {
-	return topkMany(ctx, ix.emb.N(), ix.cfg.shards, us, k, ix.topkOne)
-}
-
-func (ix *quantIndex) ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error) {
-	return scoreManyExact(ctx, ix.emb, pairs, ix.cfg.shards)
-}
-
-func (ix *quantIndex) topkOne(ctx context.Context, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
-	start := time.Now()
-	var stats QueryStats
-	n := ix.emb.N()
-	if err := validateQuery(n, u, k); err != nil {
-		return nil, stats, err
+// decodeQuant reads the snapshot payload (dim scales, then n·dim codes),
+// so a loaded index serves without re-quantizing.
+func decodeQuant(br *bufio.Reader, emb *Embedding) (kernel, error) {
+	n, dim := emb.N(), emb.Dim()
+	qy := &quant.Matrix{N: n, Dim: dim, Scales: make([]float64, dim), Codes: make([]int8, n*dim)}
+	if err := binary.Read(br, binary.LittleEndian, qy.Scales); err != nil {
+		return nil, fmt.Errorf("nrp: reading quantization scales: %w", err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
+	if err := binary.Read(br, binary.LittleEndian, qy.Codes); err != nil {
+		return nil, fmt.Errorf("nrp: reading quantization codes: %w", err)
 	}
-	if avail := ix.cfg.availCandidates(n, u); k > avail {
-		k = avail
-	}
-	if k <= 0 {
-		return nil, stats, nil
-	}
+	return &quantKernel{qy: qy}, nil
+}
 
+func (*quantKernel) bind(*Embedding, *indexConfig) error { return nil }
+
+func (*quantKernel) snapshotBackend() Backend { return BackendQuantized }
+
+func (q *quantKernel) writePayload(bw *bufio.Writer) error {
+	if err := binary.Write(bw, binary.LittleEndian, q.qy.Scales); err != nil {
+		return err
+	}
+	return binary.Write(bw, binary.LittleEndian, q.qy.Codes)
+}
+
+func (q *quantKernel) search(ctx context.Context, ix *index, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
 	// Candidate range: the whole index, or this process's slice under
 	// WithShardSlice. The quantization scales stay global (computed over
 	// all rows at build time), so per-slice quantized scores are identical
 	// to the single-process scan's.
-	rlo, rhi := ix.cfg.candRange(n)
-	qx, _ := ix.qy.QuantizeQuery(ix.emb.X.Row(u))
+	rlo, rhi := ix.cfg.candRange(ix.emb.N())
+	qx, _ := q.qy.QuantizeQuery(ix.emb.X.Row(u))
 	// Each shard shortlists its own top rerank·k by quantized score; the
 	// merged shortlist is re-scored exactly below, so the quantized scale
 	// factor (a positive constant per query) never needs to be applied —
@@ -94,7 +78,7 @@ func (ix *quantIndex) topkOne(ctx context.Context, u, k int, parallel bool) ([]N
 			if v == u && !ix.cfg.includeSelf {
 				continue
 			}
-			h.offer(v, float64(quant.Dot(qx, ix.qy.Row(v))))
+			h.offer(v, float64(quant.Dot(qx, q.qy.Row(v))))
 			scanned++
 		}
 		return scanned, 0, nil
@@ -110,6 +94,5 @@ func (ix *quantIndex) topkOne(ctx context.Context, u, k int, parallel bool) ([]N
 		final.offer(nb.Node, ix.emb.Score(u, nb.Node))
 	}
 	stats.Reranked = len(shortlist)
-	stats.Elapsed = time.Since(start)
 	return sortNeighbors(final.items), stats, nil
 }

@@ -23,6 +23,16 @@ func testEmbedding(t *testing.T, n int) *Embedding {
 	return emb
 }
 
+// mustBuildIndex is BuildIndex for tests whose options are known valid.
+func mustBuildIndex(t testing.TB, emb *Embedding, opts ...IndexOption) Searcher {
+	t.Helper()
+	s, err := BuildIndex(emb, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // bruteTopK is the reference: score every candidate, argsort, take k.
 func bruteTopK(emb *Embedding, u, k int, includeSelf bool) []Neighbor {
 	var all []Neighbor
@@ -48,7 +58,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	emb := testEmbedding(t, 500)
 	rng := rand.New(rand.NewSource(7))
 	for _, workers := range []int{1, 3, 8} {
-		ix := NewIndex(emb, IndexOptions{Workers: workers})
+		ix := mustBuildIndex(t, emb, WithShards(workers))
 		for trial := 0; trial < 8; trial++ {
 			u := rng.Intn(emb.N())
 			k := 1 + rng.Intn(20)
@@ -71,7 +81,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 
 func TestTopKIncludeSelfAndClamp(t *testing.T) {
 	emb := testEmbedding(t, 60)
-	ix := NewIndex(emb, IndexOptions{IncludeSelf: true})
+	ix := mustBuildIndex(t, emb, WithIncludeSelf(true))
 	got, err := ix.TopK(context.Background(), 4, emb.N()+50)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +97,7 @@ func TestTopKIncludeSelfAndClamp(t *testing.T) {
 	}
 
 	// Excluding self must never return u.
-	ixNoSelf := NewIndex(emb)
+	ixNoSelf := mustBuildIndex(t, emb)
 	res, err := ixNoSelf.TopK(context.Background(), 4, emb.N()+50)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +114,7 @@ func TestTopKIncludeSelfAndClamp(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	emb := testEmbedding(t, 40)
-	ix := NewIndex(emb)
+	ix := mustBuildIndex(t, emb)
 	ctx := context.Background()
 	if _, err := ix.TopK(ctx, -1, 5); err == nil {
 		t.Fatal("negative source accepted")
@@ -119,7 +129,7 @@ func TestTopKValidation(t *testing.T) {
 
 func TestTopKCancelled(t *testing.T) {
 	emb := testEmbedding(t, 40)
-	ix := NewIndex(emb)
+	ix := mustBuildIndex(t, emb)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ix.TopK(ctx, 0, 5); !errors.Is(err, context.Canceled) {
@@ -138,7 +148,7 @@ func TestScoreMany(t *testing.T) {
 		pairs[i] = Pair{U: rng.Intn(emb.N()), V: rng.Intn(emb.N())}
 	}
 	for _, workers := range []int{1, 4} {
-		ix := NewIndex(emb, IndexOptions{Workers: workers})
+		ix := mustBuildIndex(t, emb, WithShards(workers))
 		got, err := ix.ScoreMany(context.Background(), pairs)
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +163,7 @@ func TestScoreMany(t *testing.T) {
 		}
 	}
 
-	ix := NewIndex(emb)
+	ix := mustBuildIndex(t, emb)
 	if _, err := ix.ScoreMany(context.Background(), []Pair{{0, emb.N()}}); err == nil {
 		t.Fatal("out-of-range pair accepted")
 	}
@@ -166,7 +176,7 @@ func TestScoreMany(t *testing.T) {
 // TestIndexIsSearcher pins the interface contract future backends implement.
 func TestIndexIsSearcher(t *testing.T) {
 	emb := testEmbedding(t, 40)
-	var s Searcher = NewIndex(emb)
+	s := mustBuildIndex(t, emb)
 	if _, err := s.TopK(context.Background(), 1, 3); err != nil {
 		t.Fatal(err)
 	}

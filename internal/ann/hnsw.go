@@ -27,6 +27,7 @@ import (
 
 	"github.com/nrp-embed/nrp/internal/matrix"
 	"github.com/nrp-embed/nrp/internal/par"
+	"github.com/nrp-embed/nrp/internal/splitmix"
 )
 
 // Tunables and their defaults. M is the out-degree budget per node at
@@ -142,8 +143,8 @@ func compareScored(a, b scored) int {
 // assignment depends only on (seed, v) — never on insertion or thread
 // order.
 func levelFor(seed uint64, v int, mL float64) int32 {
-	r := newSplitmix64(mix64(seed, uint64(v)))
-	u := r.float64()
+	r := splitmix.New(splitmix.Mix64(seed, uint64(v)))
+	u := r.Float64()
 	// u ∈ [0,1); flip to (0,1] so the log is finite.
 	l := int32(-math.Log(1-u) * mL)
 	if l > maxLevelCap {

@@ -12,7 +12,7 @@ import (
 	"github.com/nrp-embed/nrp/internal/svd"
 )
 
-// ApproxPPR implements Algorithm 1 of the paper: it factorizes the
+// ApproxPPRCtx implements Algorithm 1 of the paper: it factorizes the
 // adjacency matrix with randomized block-Krylov SVD, seeds
 // X₁ = D⁻¹U√Σ, Y = V√Σ (so X₁Yᵀ ≈ P), then folds higher-order proximity
 // into X by ℓ₁−1 sparse iterations X_i = (1−α)·P·X_{i−1} + X₁ and a final
@@ -20,17 +20,9 @@ import (
 // Theorem-1 error bound. The embeddings are the paper's PPR baseline and
 // the starting point of NRP.
 //
-// Deprecated: use ApproxPPRCtx, which supports cancellation, progress
-// reporting and run stats.
-func ApproxPPR(g *graph.Graph, opt Options) (*Embedding, error) {
-	emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
-	return emb, err
-}
-
-// ApproxPPRCtx is the context-aware Algorithm 1. The context is checked
-// between Krylov iterations and between PPR folding iterations; on
-// cancellation the returned error is ctx.Err(). Stats are returned even on
-// error, covering the phases that ran.
+// The context is checked between Krylov iterations and between PPR
+// folding iterations; on cancellation the returned error is ctx.Err().
+// Stats are returned even on error, covering the phases that ran.
 func ApproxPPRCtx(ctx context.Context, g *graph.Graph, opt Options, opts ...RunOption) (*Embedding, *Stats, error) {
 	t := newTracker(ctx, NewRunConfig(opts))
 	emb, err := approxPPR(g, opt, t)

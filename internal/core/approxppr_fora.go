@@ -84,6 +84,9 @@ func foraPPRFactors(g *graph.Graph, opt Options, t *tracker) (*Embedding, *matri
 		copy(valBuf[base:base+len(vals)], vals)
 		lens[u] = int32(len(cols))
 	}, func(done, total int) {
+		// Rows serializes its progress calls (emit above is the concurrent
+		// one), so rows needs no atomic and the caller's ProgressFunc sees
+		// one in-order event at a time, as on the push path.
 		rows = done
 		t.step(PhasePPR, done, total)
 	})

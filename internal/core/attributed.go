@@ -63,21 +63,11 @@ type AttributedEmbedding struct {
 	Beta float64
 }
 
-// NRPAttributed embeds an attributed graph: NRP on the topology plus
+// NRPAttributedCtx embeds an attributed graph: NRP on the topology plus
 // truncated-PPR propagation of the attribute matrix (n×d, one row per
-// node).
-//
-// Deprecated: use NRPAttributedCtx, which supports cancellation, progress
-// reporting and run stats.
-func NRPAttributed(g *graph.Graph, attrs *matrix.Dense, opt AttributedOptions) (*AttributedEmbedding, error) {
-	emb, _, err := NRPAttributedCtx(context.Background(), g, attrs, opt)
-	return emb, err
-}
-
-// NRPAttributedCtx is the context-aware attributed pipeline: the topology
-// phases inherit NRPCtx's cancellation points, and the attribute
-// propagation checks the context between iterations. On cancellation the
-// returned error is ctx.Err().
+// node). The topology phases inherit NRPCtx's cancellation points, and the
+// attribute propagation checks the context between iterations. On
+// cancellation the returned error is ctx.Err().
 func NRPAttributedCtx(ctx context.Context, g *graph.Graph, attrs *matrix.Dense, opt AttributedOptions, opts ...RunOption) (*AttributedEmbedding, *Stats, error) {
 	t := newTracker(ctx, NewRunConfig(opts))
 	emb, err := nrpAttributed(g, attrs, opt, t)

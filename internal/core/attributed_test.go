@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestNRPAttributedShapes(t *testing.T) {
 	opt := DefaultAttributedOptions()
 	opt.Dim = 16
 	opt.Seed = 5
-	emb, err := NRPAttributed(g, attrs, opt)
+	emb, _, err := NRPAttributedCtx(context.Background(), g, attrs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestNRPAttributedRejectsMismatchedRows(t *testing.T) {
 	g, _ := attrGraph(t)
 	opt := DefaultAttributedOptions()
 	opt.Dim = 8
-	if _, err := NRPAttributed(g, matrix.NewDense(3, 4), opt); err == nil {
+	if _, _, err := NRPAttributedCtx(context.Background(), g, matrix.NewDense(3, 4), opt); err == nil {
 		t.Fatal("mismatched attribute rows accepted")
 	}
 }
@@ -126,7 +127,7 @@ func TestAttributedScoreBlendsChannels(t *testing.T) {
 	opt := DefaultAttributedOptions()
 	opt.Dim = 16
 	opt.Seed = 6
-	emb, err := NRPAttributed(g, attrs, opt)
+	emb, _, err := NRPAttributedCtx(context.Background(), g, attrs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -71,7 +72,7 @@ func TestApproxPPRTheorem1Bound(t *testing.T) {
 	}
 	opt := testOptions()
 	opt.Dim = 32
-	emb, err := ApproxPPR(g, opt)
+	emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestApproxPPRApproximatesPPRWell(t *testing.T) {
 	opt := testOptions()
 	opt.Dim = 16 // k' = 8 of 9 possible
 	opt.KrylovIters = 12
-	emb, err := ApproxPPR(g, opt)
+	emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestExample1Shape(t *testing.T) {
 	opt := testOptions()
 	opt.Dim = 8 // k' = 4
 	opt.KrylovIters = 10
-	emb, err := ApproxPPR(g, opt)
+	emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestNRPFixesPPRDeficiency(t *testing.T) {
 	// at the 1/n bound.
 	opt.Lambda = 0
 
-	base, err := ApproxPPR(g, opt)
+	base, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestNRPFixesPPRDeficiency(t *testing.T) {
 			base.Score(1, 3), base.Score(8, 6))
 	}
 
-	emb, err := NRP(g, opt)
+	emb, _, err := NRPCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestNRPFixesPPRDeficiency(t *testing.T) {
 func TestNRPDeterministicPerSeed(t *testing.T) {
 	g := fig1(t)
 	opt := testOptions()
-	a, err := NRP(g, opt)
+	a, _, err := NRPCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NRP(g, opt)
+	b, _, err := NRPCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func TestLearnWeightsRespectsLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions()
-	emb, err := ApproxPPR(g, opt)
+	emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, bw, err := LearnWeights(g, emb, opt)
+	fw, bw, _, err := LearnWeightsCtx(context.Background(), g, emb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestObjectiveDecreases(t *testing.T) {
 		}
 		opt := testOptions()
 		opt.ExactB1 = exactB1
-		emb, err := ApproxPPR(g, opt)
+		emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func TestFastCoeffsMatchNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions()
-	emb, err := ApproxPPR(g, opt)
+	emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestFastCoeffsMatchNaive(t *testing.T) {
 
 func TestEmbeddingSaveLoadRoundTrip(t *testing.T) {
 	g := fig1(t)
-	emb, err := NRP(g, testOptions())
+	emb, _, err := NRPCtx(context.Background(), g, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestFeaturesNormalized(t *testing.T) {
 	g := fig1(t)
-	emb, err := NRP(g, testOptions())
+	emb, _, err := NRPCtx(context.Background(), g, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +359,11 @@ func TestFeaturesNormalized(t *testing.T) {
 func TestFeaturesInvariantUnderReweighting(t *testing.T) {
 	g := fig1(t)
 	opt := testOptions()
-	base, err := ApproxPPR(g, opt)
+	base, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nrp, err := NRP(g, opt)
+	nrp, _, err := NRPCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +381,11 @@ func TestNRPL2ZeroEqualsApproxPPR(t *testing.T) {
 	g := fig1(t)
 	opt := testOptions()
 	opt.L2 = 0
-	nrpEmb, err := NRP(g, opt)
+	nrpEmb, _, err := NRPCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseEmb, err := ApproxPPR(g, opt)
+	baseEmb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestApproxPPRRejectsOversizedDim(t *testing.T) {
 	g := fig1(t)
 	opt := testOptions()
 	opt.Dim = 64 // k' = 32 > n = 9
-	if _, err := ApproxPPR(g, opt); err == nil {
+	if _, _, err := ApproxPPRCtx(context.Background(), g, opt); err == nil {
 		t.Fatal("oversized Dim accepted")
 	}
 }
@@ -407,7 +408,7 @@ func TestNRPDirectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NRP(g, testOptions())
+	emb, _, err := NRPCtx(context.Background(), g, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestNRPDirectedGraph(t *testing.T) {
 
 func TestSaveTextFormat(t *testing.T) {
 	g := fig1(t)
-	emb, err := NRP(g, testOptions())
+	emb, _, err := NRPCtx(context.Background(), g, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"github.com/nrp-embed/nrp/internal/graph"
 )
 
-// NRP implements Algorithm 3, the paper's main method. Starting from the
+// NRPCtx implements Algorithm 3, the paper's main method. Starting from the
 // ApproxPPR embeddings, it learns a forward weight →w_u and backward weight
 // ←w_v per node by ℓ₂ epochs of coordinate descent on Eq. (6), so that the
 // total connection strength Σ_v →w_u·(X_uY_vᵀ)·←w_v matches each node's
@@ -16,17 +16,10 @@ import (
 // source-relative view. The learned weights are folded into the embeddings:
 // X_v ← →w_v·X_v, Y_v ← ←w_v·Y_v.
 //
-// Deprecated: use NRPCtx, which supports cancellation, progress reporting
-// and run stats.
-func NRP(g *graph.Graph, opt Options) (*Embedding, error) {
-	emb, _, err := NRPCtx(context.Background(), g, opt)
-	return emb, err
-}
-
-// NRPCtx is the context-aware Algorithm 3. The context is checked inside
-// the factorization, the PPR folding iterations and between reweighting
-// epochs; on cancellation the returned error is ctx.Err(). Stats are
-// returned even on error, covering the phases that ran.
+// The context is checked inside the factorization, the PPR folding
+// iterations and between reweighting epochs; on cancellation the returned
+// error is ctx.Err(). Stats are returned even on error, covering the
+// phases that ran.
 func NRPCtx(ctx context.Context, g *graph.Graph, opt Options, opts ...RunOption) (*Embedding, *Stats, error) {
 	t := newTracker(ctx, NewRunConfig(opts))
 	emb, err := nrpTracked(g, opt, t)
@@ -57,21 +50,12 @@ func nrpTracked(g *graph.Graph, opt Options, t *tracker) (*Embedding, error) {
 	return emb, nil
 }
 
-// LearnWeights runs the reweighting phase of Algorithm 3 (lines 3–7) on
+// LearnWeightsCtx runs the reweighting phase of Algorithm 3 (lines 3–7) on
 // fixed embeddings and returns the learned forward and backward weights.
 // It is exposed separately so callers can inspect or reuse the weights
-// (e.g. the parameter studies of Fig 8d).
-//
-// Deprecated: use LearnWeightsCtx, which supports cancellation, progress
-// reporting and run stats.
-func LearnWeights(g *graph.Graph, emb *Embedding, opt Options) (fw, bw []float64, err error) {
-	fw, bw, _, err = LearnWeightsCtx(context.Background(), g, emb, opt)
-	return fw, bw, err
-}
-
-// LearnWeightsCtx is the context-aware reweighting phase. The context is
-// checked between coordinate-descent passes; on cancellation the returned
-// error is ctx.Err(). Stats report per-epoch residuals.
+// (e.g. the parameter studies of Fig 8d). The context is checked between
+// coordinate-descent passes; on cancellation the returned error is
+// ctx.Err(). Stats report per-epoch residuals.
 func LearnWeightsCtx(ctx context.Context, g *graph.Graph, emb *Embedding, opt Options, opts ...RunOption) (fw, bw []float64, stats *Stats, err error) {
 	t := newTracker(ctx, NewRunConfig(opts))
 	fw, bw, err = learnWeights(emb, g.InDegrees(), g.OutDegrees(), opt, t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,11 +27,11 @@ func TestWeightsLowerBoundProperty(t *testing.T) {
 		opt.L2 = 3
 		opt.Lambda = []float64{0, 1, 10}[rng.Intn(3)]
 		opt.Seed = seed
-		emb, err := ApproxPPR(g, opt)
+		emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 		if err != nil {
 			return false
 		}
-		fw, bw, err := LearnWeights(g, emb, opt)
+		fw, bw, _, err := LearnWeightsCtx(context.Background(), g, emb, opt)
 		if err != nil {
 			return false
 		}
@@ -61,7 +62,7 @@ func TestTheorem1Property(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Dim = 12
 		opt.Seed = seed
-		emb, err := ApproxPPR(g, opt)
+		emb, _, err := ApproxPPRCtx(context.Background(), g, opt)
 		if err != nil {
 			return false
 		}
@@ -109,7 +110,7 @@ func TestEmbeddingsFiniteProperty(t *testing.T) {
 		opt.Dim = 8
 		opt.L2 = 2
 		opt.Seed = seed
-		emb, err := NRP(g, opt)
+		emb, _, err := NRPCtx(context.Background(), g, opt)
 		if err != nil {
 			return false
 		}

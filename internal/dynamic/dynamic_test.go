@@ -101,7 +101,7 @@ func TestIncrementalTracksFullRecompute(t *testing.T) {
 	aucInc := futureAUC(t, eng.Embedding(), eng.Graph(), heldOut)
 
 	// Reference: cold full recompute on the updated graph.
-	full, err := core.NRP(eng.Graph(), opt)
+	full, _, err := core.NRPCtx(context.Background(), eng.Graph(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

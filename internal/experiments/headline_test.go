@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/nrp-embed/nrp/internal/core"
@@ -31,11 +32,11 @@ func TestPaperHeadlineClaims(t *testing.T) {
 	opt.Dim = 64
 	opt.Seed = 1
 
-	base, err := core.ApproxPPR(split.Train, opt)
+	base, _, err := core.ApproxPPRCtx(context.Background(), split.Train, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nrpEmb, err := core.NRP(split.Train, opt)
+	nrpEmb, _, err := core.NRPCtx(context.Background(), split.Train, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestPaperHeadlineClaims(t *testing.T) {
 	}
 
 	// Reconstruction on the full graph (Fig 5 protocol).
-	baseFull, err := core.ApproxPPR(g, opt)
+	baseFull, _, err := core.ApproxPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nrpFull, err := core.NRP(g, opt)
+	nrpFull, _, err := core.NRPCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

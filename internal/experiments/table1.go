@@ -76,12 +76,12 @@ func runExample1(cfg Config) ([]*Table, error) {
 	opt := core.DefaultOptions()
 	opt.Dim = 4
 	opt.Seed = cfg.Seed
-	emb2, err := core.ApproxPPR(g, opt)
+	emb2, _, err := core.ApproxPPRCtx(cfg.ctx(), g, opt)
 	if err != nil {
 		return nil, err
 	}
 	opt.Dim = 8
-	emb4, err := core.ApproxPPR(g, opt)
+	emb4, _, err := core.ApproxPPRCtx(cfg.ctx(), g, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,7 @@
 package fora
 
+import "github.com/nrp-embed/nrp/internal/splitmix"
+
 // aliasTable samples from a discrete distribution in O(1) per draw using
 // Vose's alias method. The walk phase draws millions of start nodes from
 // the residual distribution left by forward push; a linear or binary
@@ -66,9 +68,9 @@ func (t *aliasTable) build(w []float64) {
 
 // sample draws a slot index using two uniforms from rng. Safe for
 // concurrent use by multiple readers once built.
-func (t *aliasTable) sample(rng *splitmix64) int32 {
-	i := rng.intn(len(t.prob))
-	if rng.float64() < t.prob[i] {
+func (t *aliasTable) sample(rng *splitmix.RNG) int32 {
+	i := rng.Intn(len(t.prob))
+	if rng.Float64() < t.prob[i] {
 		return int32(i)
 	}
 	return t.alias[i]

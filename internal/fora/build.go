@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/nrp-embed/nrp/internal/graph"
 	"github.com/nrp-embed/nrp/internal/par"
 	"github.com/nrp-embed/nrp/internal/ppr"
+	"github.com/nrp-embed/nrp/internal/splitmix"
 )
 
 // This file is the batch-build face of the FORA estimator: where Engine
@@ -243,12 +245,18 @@ type buildWS struct {
 // called concurrently from pool workers, once per row, with scratch
 // slices valid only for the duration of the call; rows are disjoint, so
 // writing to a per-row slot needs no locking. progress (optional)
-// receives cumulative completed-row counts. Output is deterministic in
-// (Seed, row) for any thread count.
+// receives cumulative completed-row counts; unlike emit it is called by
+// one worker at a time with strictly increasing counts, which is what a
+// pipeline ProgressFunc is promised, so a caller may keep the last count
+// without synchronizing. Output is deterministic in (Seed, row) for any
+// thread count.
 func (e *BuildEstimator) Rows(ctx context.Context, emit func(u int32, cols []int32, vals []float64), progress func(done, total int)) error {
 	n := e.g.N
 	states := make([]*buildWS, e.pool.Workers())
-	var done atomic.Int64
+	var (
+		progressMu sync.Mutex
+		done       int
+	)
 	err := e.pool.ForChunked(ctx, n, 512, func(w, lo, hi int) error {
 		ws := states[w]
 		if ws == nil {
@@ -270,7 +278,12 @@ func (e *BuildEstimator) Rows(ctx context.Context, emit func(u int32, cols []int
 		e.walks.Add(ws.walks)
 		e.rounds.Add(ws.rounds)
 		if progress != nil {
-			progress(int(done.Add(int64(hi-lo))), n)
+			// Held across the callback so counts arrive in order; it runs
+			// once per 512-row chunk and is required to return quickly.
+			progressMu.Lock()
+			done += hi - lo
+			progress(done, n)
+			progressMu.Unlock()
 		}
 		return nil
 	})
@@ -378,7 +391,7 @@ func (e *BuildEstimator) estimateRow(ws *buildWS, u int32) (cols []int32, vals [
 	// (parallelism is across rows) with the RNG stream keyed on
 	// (Seed, row), so the result is thread-count independent.
 	if omega > 0 {
-		rng := newSplitmix64(mix64(uint64(o.Seed)^buildRowSalt, uint64(u)))
+		rng := splitmix.New(splitmix.Mix64(uint64(o.Seed)^buildRowSalt, uint64(u)))
 		inc := rsum / float64(omega)
 		perMass := float64(omega) / rsum
 		// The estimator owns its freshly built, unmaintained index, so
@@ -414,11 +427,11 @@ func (e *BuildEstimator) estimateRow(ws *buildWS, u int32) (cols []int32, vals [
 					continue
 				}
 				wv := int(x)
-				if rng.float64() < x-float64(wv) {
+				if rng.Float64() < x-float64(wv) {
 					wv++
 				}
 				for j := 0; j < wv; j++ {
-					if t := row[rng.intn(ik)]; t >= 0 {
+					if t := row[rng.Intn(ik)]; t >= 0 {
 						if ws.acc[t] == 0 {
 							ws.hitList = append(ws.hitList, t)
 						}
@@ -429,7 +442,7 @@ func (e *BuildEstimator) estimateRow(ws *buildWS, u int32) (cols []int32, vals [
 				continue
 			}
 			wv := int(x)
-			if rng.float64() < x-float64(wv) {
+			if rng.Float64() < x-float64(wv) {
 				wv++
 			}
 			for j := 0; j < wv; j++ {

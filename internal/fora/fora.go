@@ -34,6 +34,7 @@ import (
 	"github.com/nrp-embed/nrp/internal/graph"
 	"github.com/nrp-embed/nrp/internal/par"
 	"github.com/nrp-embed/nrp/internal/ppr"
+	"github.com/nrp-embed/nrp/internal/splitmix"
 )
 
 // Typed sentinels for parameter validation, re-exported at the public nrp
@@ -402,7 +403,7 @@ func (e *Engine) runWalks(ctx context.Context, g *graph.Graph, ws *workspace, p 
 	e.pool.For(int(walks), func(w, lo, hi int) {
 		counts := ws.counts[w]
 		hits := ws.hits[w][:0]
-		rng := newSplitmix64(mix64(uint64(p.Seed), uint64(w)))
+		rng := splitmix.New(splitmix.Mix64(uint64(p.Seed), uint64(w)))
 		var served, simulated int64
 		for i := lo; i < hi; i++ {
 			if i&0xfff == 0 && ctx.Err() != nil {

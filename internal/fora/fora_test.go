@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/nrp-embed/nrp/internal/graph"
 	"github.com/nrp-embed/nrp/internal/par"
 	"github.com/nrp-embed/nrp/internal/ppr"
+	"github.com/nrp-embed/nrp/internal/splitmix"
 )
 
 func testGraph(t *testing.T, n, m int, directed bool, seed int64) *graph.Graph {
@@ -192,6 +195,11 @@ func TestWorkspaceReuseAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	// A sync.Pool legitimately misses when a GC cycle empties it or when
+	// the caller migrates to a P whose slot is empty; pin GC and run on one
+	// P so the count below measures pooling, not the scheduler.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 50; i++ {
 		if _, err := e.Query(context.Background(), Query{Seeds: []int32{int32(i * 7 % g.N)}, K: 10}); err != nil {
 			t.Fatalf("Query %d: %v", i, err)
@@ -270,7 +278,7 @@ func TestAliasTableMatchesWeights(t *testing.T) {
 	w := []float64{0.1, 0.4, 0.2, 0.3}
 	var at aliasTable
 	at.build(w)
-	rng := newSplitmix64(123)
+	rng := splitmix.New(123)
 	const draws = 200000
 	counts := make([]int, len(w))
 	for i := 0; i < draws; i++ {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/nrp-embed/nrp/internal/graph"
 	"github.com/nrp-embed/nrp/internal/par"
+	"github.com/nrp-embed/nrp/internal/splitmix"
 )
 
 // WalkIndex is the FORA+ acceleration structure: K precomputed
@@ -88,7 +89,7 @@ func BuildWalkIndex(ctx context.Context, g *graph.Graph, pool *par.Pool, alpha f
 				canceled.Store(true)
 				return
 			}
-			rng := newSplitmix64(mix64(uint64(seed), uint64(v)))
+			rng := splitmix.New(splitmix.Mix64(uint64(seed), uint64(v)))
 			row := wi.ends[v*k : (v+1)*k]
 			for i := range row {
 				row[i] = walkEnd(g, int32(v), alpha, &rng)
@@ -223,7 +224,7 @@ func (wi *WalkIndex) repairLocked(g *graph.Graph, maxNodes int) int {
 	}
 	for i := 0; i < todo; i++ {
 		v := m.queue[i]
-		rng := newSplitmix64(mix64(uint64(wi.seed), uint64(v)))
+		rng := splitmix.New(splitmix.Mix64(uint64(wi.seed), uint64(v)))
 		base := int(v) * wi.k
 		for j := 0; j < wi.k; j++ {
 			atomic.StoreInt32(&wi.ends[base+j], walkEnd(g, v, wi.alpha, &rng))
@@ -291,29 +292,29 @@ func (wi *WalkIndex) addEndpointStats(hits, staleWalks int64) {
 // endpoint resamples one stored walk endpoint of node v, reporting whether
 // the cached row served it (false = v was stale and the walk was simulated
 // on g). Callers batch the tallies via addEndpointStats.
-func (wi *WalkIndex) endpoint(g *graph.Graph, v int32, rng *splitmix64) (int32, bool) {
+func (wi *WalkIndex) endpoint(g *graph.Graph, v int32, rng *splitmix.RNG) (int32, bool) {
 	base := int(v) * wi.k
 	if m := wi.maint; m != nil {
 		if m.state[v].Load() != 0 {
 			return walkEnd(g, v, wi.alpha, rng), false
 		}
-		return atomic.LoadInt32(&wi.ends[base+rng.intn(wi.k)]), true
+		return atomic.LoadInt32(&wi.ends[base+rng.Intn(wi.k)]), true
 	}
-	return wi.ends[base+rng.intn(wi.k)], true
+	return wi.ends[base+rng.Intn(wi.k)], true
 }
 
 // walkEnd runs one α-terminating walk from start and returns the node it
 // terminates at, or -1 if it halts at a dangling node (mass lost).
-func walkEnd(g *graph.Graph, start int32, alpha float64, rng *splitmix64) int32 {
+func walkEnd(g *graph.Graph, start int32, alpha float64, rng *splitmix.RNG) int32 {
 	cur := start
 	for {
-		if rng.float64() < alpha {
+		if rng.Float64() < alpha {
 			return cur
 		}
 		nbrs := g.OutNeighbors(int(cur))
 		if len(nbrs) == 0 {
 			return -1
 		}
-		cur = nbrs[rng.intn(len(nbrs))]
+		cur = nbrs[rng.Intn(len(nbrs))]
 	}
 }

@@ -1,11 +1,7 @@
 package router
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -53,7 +49,7 @@ func (rt *Router) Handler() http.Handler {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	resp := HealthzResponse{
@@ -75,55 +71,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if resp.HealthyShards < len(rt.shards) {
 		resp.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req serve.TopKRequest
-	switch r.Method {
-	case http.MethodGet:
-		u, err := strconv.Atoi(r.URL.Query().Get("u"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "query parameter u must be an integer")
-			return
-		}
-		req.U = &u
-		req.K = 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			if req.K, err = strconv.Atoi(ks); err != nil {
-				writeError(w, http.StatusBadRequest, "query parameter k must be an integer")
-				return
-			}
-		}
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
-		return
-	}
-
-	var us []int
-	switch {
-	case req.U != nil && len(req.Us) > 0:
-		writeError(w, http.StatusBadRequest, `set exactly one of "u" and "us"`)
-		return
-	case req.U != nil:
-		us = []int{*req.U}
-	case len(req.Us) > 0:
-		us = req.Us
-	default:
-		writeError(w, http.StatusBadRequest, `set one of "u" and "us"`)
-		return
-	}
-	if len(us) > rt.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d sources exceeds limit %d", len(us), rt.cfg.MaxBatch))
-		return
-	}
-	if req.K > rt.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("k=%d exceeds limit %d", req.K, rt.cfg.MaxK))
+	req, us, ok := serve.ParseTopK(w, r, rt.cfg.MaxBatch, rt.cfg.MaxK)
+	if !ok {
 		return
 	}
 
@@ -131,61 +84,32 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var se *shardError
 		if errors.As(err, &se) {
-			writeError(w, se.status, se.msg)
+			serve.WriteError(w, se.status, se.msg)
 			return
 		}
-		writeError(w, http.StatusBadGateway, err.Error())
+		serve.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	body, ok := serve.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	status, out, err := rt.forwardScore(r.Context(), body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
+		serve.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(out)
-}
-
-func readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
-	}
-	return body, nil
-}
-
-// statusRecorder captures the response status for metrics and logs.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(b)
 }
 
 // endpointLabel bounds the metric label space: unknown paths collapse
@@ -207,41 +131,20 @@ func (rt *Router) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		endpoint := endpointLabel(r.URL.Path)
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &serve.StatusRecorder{ResponseWriter: w}
 		rt.metrics.inflight.Inc()
 		defer func() {
 			rt.metrics.inflight.Dec()
 			elapsed := time.Since(start)
-			code := rec.status
-			if code == 0 {
-				code = http.StatusOK
-			}
+			code := rec.Status()
 			rt.metrics.requests.With(endpoint, strconv.Itoa(code)).Inc()
 			rt.metrics.latency.With(endpoint).Observe(elapsed.Seconds())
 			if rt.cfg.Logger != nil {
-				level := slog.LevelInfo
-				if code >= 500 {
-					level = slog.LevelError
-				} else if code >= 400 {
-					level = slog.LevelWarn
-				}
-				rt.cfg.Logger.Log(r.Context(), level, "request",
+				rt.cfg.Logger.Log(r.Context(), serve.LogLevel(code), "request",
 					"endpoint", endpoint, "method", r.Method, "status", code,
 					"duration", elapsed, "healthy_shards", rt.healthyCount())
 			}
 		}()
 		next.ServeHTTP(rec, r)
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{msg})
 }

@@ -307,6 +307,28 @@ func TestClientErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: the router bounds request bodies with the
+// same limit as the shards behind it, on the endpoint it decodes (topk)
+// and the one it forwards raw (score), and an oversized request is the
+// client's fault — no shard leaves rotation.
+func TestOversizedBodyRejected(t *testing.T) {
+	emb := testEmbedding(t, 60)
+	urls, _, _ := startFleet(t, emb, nrp.BackendExact, 2)
+	rt := newTestRouter(t, urls, nil)
+	h := rt.Handler()
+	huge := `{"pad":"` + strings.Repeat("x", serve.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/topk", "/v1/score"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(huge)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body answered %d, want 413: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	if rt.healthyCount() != 2 {
+		t.Fatal("an oversized request must not eject shards from rotation")
+	}
+}
+
 // TestBootValidation: a fleet whose slices do not partition the node
 // space is a deployment error rejected at boot.
 func TestBootValidation(t *testing.T) {

@@ -39,26 +39,6 @@ func infoFrom(ctx context.Context) *reqInfo {
 	return ri
 }
 
-// statusRecorder captures the response status for metrics and logs.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(b)
-}
-
 // exemptFromGating reports whether a path bypasses drain 503s and rate
 // limiting: health checks must answer while draining (that is how a load
 // balancer learns to stop routing here) and scrapes must never be shed.
@@ -76,16 +56,13 @@ func (sv *Server) instrument(next http.Handler) http.Handler {
 		endpoint := endpointLabel(r.URL.Path)
 		ri := &reqInfo{k: -1}
 		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri))
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &StatusRecorder{ResponseWriter: w}
 
 		sv.metrics.inflight.Inc()
 		defer func() {
 			sv.metrics.inflight.Dec()
 			elapsed := time.Since(start)
-			code := rec.status
-			if code == 0 {
-				code = http.StatusOK
-			}
+			code := rec.Status()
 			sv.metrics.requests.With(endpoint, strconv.Itoa(code)).Inc()
 			sv.metrics.latency.With(endpoint).Observe(elapsed.Seconds())
 			sv.logRequest(r, endpoint, code, elapsed, ri)
@@ -93,12 +70,12 @@ func (sv *Server) instrument(next http.Handler) http.Handler {
 
 		switch {
 		case sv.draining.Load() && !exemptFromGating(r.URL.Path):
-			writeError(rec, http.StatusServiceUnavailable, "server is draining")
+			WriteError(rec, http.StatusServiceUnavailable, "server is draining")
 		case sv.limiter != nil && !exemptFromGating(r.URL.Path):
 			if retry, ok := sv.limiter.allow(clientKey(r)); !ok {
 				sv.metrics.rateLimited.Inc()
 				rec.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
-				writeError(rec, http.StatusTooManyRequests, "rate limit exceeded")
+				WriteError(rec, http.StatusTooManyRequests, "rate limit exceeded")
 			} else {
 				next.ServeHTTP(rec, r)
 			}
@@ -128,13 +105,7 @@ func (sv *Server) logRequest(r *http.Request, endpoint string, code int, elapsed
 	if ri.coalesced {
 		attrs = append(attrs, slog.Bool("coalesced", true))
 	}
-	level := slog.LevelInfo
-	if code >= 500 {
-		level = slog.LevelError
-	} else if code >= 400 {
-		level = slog.LevelWarn
-	}
-	sv.cfg.Logger.LogAttrs(r.Context(), level, "request", attrs...)
+	sv.cfg.Logger.LogAttrs(r.Context(), LogLevel(code), "request", attrs...)
 }
 
 // clientKey identifies a client for rate limiting and logging: the

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -131,18 +132,29 @@ func TestPPRDisabledConflicts(t *testing.T) {
 	}
 }
 
-// TestPPRHandlerReusesWorkspaces is the serving-layer allocation
-// assertion: steady /v1/ppr traffic must not allocate O(n) per request —
-// the engine's sync.Pool keeps one workspace hot, and the handler only
-// pays for JSON plumbing and the O(k) response. On this 20k-node graph a
-// single workspace build costs well over 1 MB, so the per-request budget
-// below fails loudly if pooling ever regresses.
+// TestPPRHandlerReusesWorkspaces is the serving-layer pooling assertion:
+// steady /v1/ppr traffic must not build an O(n) workspace per request —
+// the engine's sync.Pool keeps one hot, and the handler only pays for
+// JSON plumbing and the O(k) response. The invariant is asserted on the
+// engine's own build counter rather than on MemStats.TotalAlloc, with the
+// two ways a sync.Pool legitimately misses taken out of play: GC is pinned
+// (a collection empties the pool) and the loop runs on one P (an item
+// parked in another P's private slot is invisible to Get). Either is a
+// property of the runtime, not a pooling regression.
 func TestPPRHandlerReusesWorkspaces(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally drops items under the race detector")
 	}
 	const n = 20000
-	h := testPPRServer(t, n, 60000, Config{})
+	g, err := nrp.GenSBM(nrp.SBMConfig{N: n, M: 60000, Communities: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, err := nrp.NewPPREngine(g, nrp.WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(stubSearcher{n: n}, Config{PPR: pe}).Handler()
 
 	do := func() {
 		rec, body := doJSON(t, h, http.MethodPost, "/v1/ppr", PPRRequest{Seeds: []int{3, 7}, K: 10})
@@ -150,25 +162,17 @@ func TestPPRHandlerReusesWorkspaces(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, body)
 		}
 	}
-	// Warm up: first request builds the workspace, a few more settle the
-	// JSON encoder and transport scratch.
-	for i := 0; i < 5; i++ {
-		do()
-	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Warm up: the first request builds the workspace.
+	do()
 
-	const requests = 50
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
+	before := pe.WorkspaceBuilds()
+	for i := 0; i < 50; i++ {
 		do()
 	}
-	runtime.ReadMemStats(&after)
-	perReq := (after.TotalAlloc - before.TotalAlloc) / requests
-	// An O(n) allocation per request would be >= 160 KB (one float64
-	// array) — budget far below that, far above JSON scratch.
-	if perReq > 64*1024 {
-		t.Fatalf("/v1/ppr allocates %d B per request; workspace pooling is broken", perReq)
+	if built := pe.WorkspaceBuilds() - before; built != 0 {
+		t.Fatalf("50 sequential /v1/ppr requests built %d workspaces, want 0; workspace pooling is broken", built)
 	}
 }
 

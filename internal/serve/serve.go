@@ -27,14 +27,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -296,7 +294,7 @@ type errorResponse struct {
 
 func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	version, revision := buildInfo()
@@ -316,7 +314,7 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		pending := sv.live.Pending()
 		resp.PendingUpdates = &pending
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // requireLive guards the update endpoints: a static server has no graph
@@ -324,7 +322,7 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // not a malformed request — hence 409.
 func (sv *Server) requireLive(w http.ResponseWriter) bool {
 	if sv.live == nil {
-		writeError(w, http.StatusConflict, "index is static: server was not started over a live graph")
+		WriteError(w, http.StatusConflict, "index is static: server was not started over a live graph")
 		return false
 	}
 	return true
@@ -332,24 +330,23 @@ func (sv *Server) requireLive(w http.ResponseWriter) bool {
 
 func (sv *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if !sv.requireLive(w) {
 		return
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	total := len(req.Insert) + len(req.Remove)
 	if total == 0 {
-		writeError(w, http.StatusBadRequest, `set at least one of "insert" and "remove"`)
+		WriteError(w, http.StatusBadRequest, `set at least one of "insert" and "remove"`)
 		return
 	}
 	if total > sv.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d updates exceeds limit %d", total, sv.cfg.MaxBatch))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d updates exceeds limit %d", total, sv.cfg.MaxBatch))
 		return
 	}
 	ups := make([]nrp.EdgeUpdate, 0, total)
@@ -364,7 +361,7 @@ func (sv *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// Reject ids that int32 would silently wrap into range before
 			// they reach the engine's [0, N) validation.
 			if p[0] < 0 || p[0] > math.MaxInt32 || p[1] < 0 || p[1] > math.MaxInt32 {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("node id outside [0, %d] in pair [%d,%d]", math.MaxInt32, p[0], p[1]))
+				WriteError(w, http.StatusBadRequest, fmt.Sprintf("node id outside [0, %d] in pair [%d,%d]", math.MaxInt32, p[0], p[1]))
 				return
 			}
 			ups = append(ups, nrp.EdgeUpdate{U: int32(p[0]), V: int32(p[1]), Op: batch.op})
@@ -373,19 +370,19 @@ func (sv *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	applied, err := sv.live.ApplyUpdates(r.Context(), ups)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusServiceUnavailable, "update cancelled: "+err.Error())
+			WriteError(w, http.StatusServiceUnavailable, "update cancelled: "+err.Error())
 			return
 		}
 		// Update batches fail only on validation (ids out of range, bad op).
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, UpdateResponse{Applied: applied, Pending: sv.live.Pending()})
+	WriteJSON(w, http.StatusOK, UpdateResponse{Applied: applied, Pending: sv.live.Pending()})
 }
 
 func (sv *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if !sv.requireLive(w) {
@@ -397,7 +394,7 @@ func (sv *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sv.metrics.ObserveRefresh(st)
-	writeJSON(w, http.StatusOK, RefreshResponse{
+	WriteJSON(w, http.StatusOK, RefreshResponse{
 		Mode:          string(st.Mode),
 		WarmStart:     st.WarmStart,
 		Fallback:      st.Fallback,
@@ -412,56 +409,8 @@ func (sv *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	switch r.Method {
-	case http.MethodGet:
-		u, err := strconv.Atoi(r.URL.Query().Get("u"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "query parameter u must be an integer")
-			return
-		}
-		req.U = &u
-		req.K = 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			if req.K, err = strconv.Atoi(ks); err != nil {
-				writeError(w, http.StatusBadRequest, "query parameter k must be an integer")
-				return
-			}
-		}
-		switch r.URL.Query().Get("stats") {
-		case "", "0", "false":
-		default:
-			req.Stats = true
-		}
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
-		return
-	}
-
-	var us []int
-	switch {
-	case req.U != nil && len(req.Us) > 0:
-		writeError(w, http.StatusBadRequest, `set exactly one of "u" and "us"`)
-		return
-	case req.U != nil:
-		us = []int{*req.U}
-	case len(req.Us) > 0:
-		us = req.Us
-	default:
-		writeError(w, http.StatusBadRequest, `set one of "u" and "us"`)
-		return
-	}
-	if len(us) > sv.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d sources exceeds limit %d", len(us), sv.cfg.MaxBatch))
-		return
-	}
-	if req.K > sv.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("k=%d exceeds limit %d", req.K, sv.cfg.MaxK))
+	req, us, ok := ParseTopK(w, r, sv.cfg.MaxBatch, sv.cfg.MaxK)
+	if !ok {
 		return
 	}
 	if ri := infoFrom(r.Context()); ri != nil {
@@ -516,21 +465,20 @@ func (sv *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = rj
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (sv *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req ScoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Pairs) > sv.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(req.Pairs), sv.cfg.MaxBatch))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(req.Pairs), sv.cfg.MaxBatch))
 		return
 	}
 	if ri := infoFrom(r.Context()); ri != nil {
@@ -545,7 +493,7 @@ func (sv *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ScoreResponse{Scores: scores})
+	WriteJSON(w, http.StatusOK, ScoreResponse{Scores: scores})
 }
 
 // PPRRequest is the /v1/ppr POST body. Alpha and Epsilon, when nonzero,
@@ -579,29 +527,28 @@ type PPRResponse struct {
 
 func (sv *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if sv.cfg.PPR == nil {
 		// Like /v1/update on a static server: the deployment has no graph
 		// to query, which is not a malformed request — hence 409.
-		writeError(w, http.StatusConflict, "PPR is disabled: server was not started over a graph")
+		WriteError(w, http.StatusConflict, "PPR is disabled: server was not started over a graph")
 		return
 	}
 	var req PPRRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Seeds) > sv.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("seed set of %d exceeds limit %d", len(req.Seeds), sv.cfg.MaxBatch))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("seed set of %d exceeds limit %d", len(req.Seeds), sv.cfg.MaxBatch))
 		return
 	}
 	if req.K == 0 {
 		req.K = 10
 	}
 	if req.K > sv.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("k=%d exceeds limit %d", req.K, sv.cfg.MaxK))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("k=%d exceeds limit %d", req.K, sv.cfg.MaxK))
 		return
 	}
 	if ri := infoFrom(r.Context()); ri != nil {
@@ -636,7 +583,7 @@ func (sv *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	for i, s := range res.Scores {
 		resp.Scores[i] = NeighborJSON{Node: s.Node, Score: s.Score}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeQueryError maps Searcher errors onto HTTP statuses: the typed
@@ -646,22 +593,12 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, nrp.ErrInvalidK) || errors.Is(err, nrp.ErrNodeOutOfRange),
 		errors.Is(err, nrp.ErrEmptySeedSet) || errors.Is(err, nrp.ErrInvalidAlpha) || errors.Is(err, nrp.ErrInvalidEpsilon):
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "query cancelled: "+err.Error())
+		WriteError(w, http.StatusServiceUnavailable, "query cancelled: "+err.Error())
 	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
 }
 
 // Serve runs an HTTP server on ln until ctx is cancelled, then drains

@@ -440,3 +440,26 @@ func TestZeroDowntimeOverHTTP(t *testing.T) {
 		t.Fatal("no queries ran")
 	}
 }
+
+// TestOversizedBodyRejected: batch and k limits are only checkable after
+// a body is decoded, so every POST endpoint must refuse to read past
+// MaxBodyBytes — 413, before any of the payload is materialized as a
+// request struct.
+func TestOversizedBodyRejected(t *testing.T) {
+	sv, _ := testLiveServer(t)
+	live, ppr := sv.Handler(), testPPRServer(t, 300, 1500, Config{})
+	// Well-formed JSON, so only the size can be the reason to refuse it.
+	huge := `{"pad":"` + strings.Repeat("x", MaxBodyBytes) + `"}`
+	for _, tc := range []struct {
+		h    http.Handler
+		path string
+	}{
+		{live, "/v1/topk"}, {live, "/v1/score"}, {live, "/v1/update"}, {ppr, "/v1/ppr"},
+	} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(huge)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body answered %d, want 413: %s", tc.path, rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -8,7 +8,7 @@
 // PageRank proximity →w_u·π(u,v)·←w_v. It runs in O(k(m+kn)·log n) time and
 // O(m+nk) space, and handles both directed and undirected graphs.
 //
-// Basic usage (the v2 context-aware pipeline):
+// Basic usage:
 //
 //	g, err := nrp.LoadGraph("graph.txt", true)
 //	emb, stats, err := nrp.EmbedCtx(ctx, g, nrp.DefaultOptions())
@@ -48,9 +48,6 @@
 //	live, err := nrp.NewLiveIndex(dyn, nrp.WithBackend(nrp.BackendQuantized))
 //	live.ApplyUpdates(ctx, updates)
 //	stats, err := live.Refresh(ctx)        // rebuild + zero-downtime swap
-//
-// The v1 entry points (Embed, EmbedPPR, EmbedAttributed, LearnWeights)
-// remain as thin deprecated wrappers over the ctx-taking versions.
 //
 // The packages under internal/ implement the substrates (sparse linear
 // algebra, randomized block-Krylov SVD, PPR computation, evaluation
@@ -164,15 +161,6 @@ func EmbedCtx(ctx context.Context, g *Graph, opt Options, opts ...RunOption) (*E
 	return core.NRPCtx(ctx, g, opt, opts...)
 }
 
-// Embed computes NRP embeddings with a background context.
-//
-// Deprecated: use EmbedCtx, which supports cancellation, progress reporting
-// and run stats.
-func Embed(g *Graph, opt Options) (*Embedding, error) {
-	emb, _, err := EmbedCtx(context.Background(), g, opt)
-	return emb, err
-}
-
 // EmbedPPRCtx computes the ApproxPPR baseline embeddings (Algorithm 1): the
 // personalized-PageRank factorization without node reweighting. Context and
 // stats behave as in EmbedCtx.
@@ -181,15 +169,6 @@ func EmbedPPRCtx(ctx context.Context, g *Graph, opt Options, opts ...RunOption) 
 		return nil, nil, fmt.Errorf("nrp: invalid options: %w", err)
 	}
 	return core.ApproxPPRCtx(ctx, g, opt, opts...)
-}
-
-// EmbedPPR computes the ApproxPPR baseline with a background context.
-//
-// Deprecated: use EmbedPPRCtx, which supports cancellation, progress
-// reporting and run stats.
-func EmbedPPR(g *Graph, opt Options) (*Embedding, error) {
-	emb, _, err := EmbedPPRCtx(context.Background(), g, opt)
-	return emb, err
 }
 
 // LearnWeightsCtx exposes the reweighting phase on fixed embeddings,
@@ -201,15 +180,6 @@ func LearnWeightsCtx(ctx context.Context, g *Graph, emb *Embedding, opt Options,
 		return nil, nil, nil, fmt.Errorf("nrp: invalid options: %w", err)
 	}
 	return core.LearnWeightsCtx(ctx, g, emb, opt, opts...)
-}
-
-// LearnWeights exposes the reweighting phase with a background context.
-//
-// Deprecated: use LearnWeightsCtx, which supports cancellation, progress
-// reporting and run stats.
-func LearnWeights(g *Graph, emb *Embedding, opt Options) (fw, bw []float64, err error) {
-	fw, bw, _, err = LearnWeightsCtx(context.Background(), g, emb, opt)
-	return fw, bw, err
 }
 
 // NewGraph builds a graph from an edge list over n nodes. Undirected edges
@@ -366,17 +336,8 @@ func EmbedAttributedCtx(ctx context.Context, g *Graph, attrs [][]float64, opt At
 	return core.NRPAttributedCtx(ctx, g, matrix.NewDenseFromRows(attrs), opt, opts...)
 }
 
-// EmbedAttributed embeds an attributed graph with a background context.
-//
-// Deprecated: use EmbedAttributedCtx, which supports cancellation, progress
-// reporting and run stats.
-func EmbedAttributed(g *Graph, attrs [][]float64, opt AttributedOptions) (*AttributedEmbedding, error) {
-	emb, _, err := EmbedAttributedCtx(context.Background(), g, attrs, opt)
-	return emb, err
-}
-
 // GenAttributes synthesizes label-correlated node attributes with Gaussian
-// noise, for experimenting with EmbedAttributed.
+// noise, for experimenting with EmbedAttributedCtx.
 func GenAttributes(g *Graph, dim int, noise float64, seed int64) ([][]float64, error) {
 	return graph.GenAttributes(g, dim, noise, seed)
 }

@@ -17,7 +17,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Dim = 16
 	opt.Seed = 2
-	emb, err := Embed(g, opt)
+	emb, _, err := EmbedCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestEmbedPPRAndWeights(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Dim = 8
-	base, err := EmbedPPR(g, opt)
+	base, _, err := EmbedPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, bw, err := LearnWeights(g, base, opt)
+	fw, bw, _, err := LearnWeightsCtx(context.Background(), g, base, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLearnWeightsCtxValidatesOptions(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Dim = 8
-	base, err := EmbedPPR(g, opt)
+	base, _, err := EmbedPPRCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEmbeddingSaveLoadViaPublicAPI(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Dim = 8
-	emb, err := Embed(g, opt)
+	emb, _, err := EmbedCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

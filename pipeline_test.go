@@ -196,31 +196,6 @@ func TestEmbedCtxValidatesUpFront(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchCtxAPI pins the migration contract: the v1
-// wrappers are thin delegates, so results are bit-identical to the ctx API
-// with the same options.
-func TestDeprecatedWrappersMatchCtxAPI(t *testing.T) {
-	g, err := GenSBM(SBMConfig{N: 150, M: 700, Communities: 3, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.Dim = 16
-	old, err := Embed(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, _, err := EmbedCtx(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]int{{0, 1}, {3, 140}, {77, 12}} {
-		if old.Score(pair[0], pair[1]) != neu.Score(pair[0], pair[1]) {
-			t.Fatalf("wrapper and ctx API disagree on %v", pair)
-		}
-	}
-}
-
 // TestEmbeddingSaveLoadSaveTextRoundTrip checks Save → Load preserves
 // scores exactly and SaveText re-emits the same vectors in text form.
 func TestEmbeddingSaveLoadSaveTextRoundTrip(t *testing.T) {
