@@ -28,7 +28,7 @@ func RandNE(g *graph.Graph, cfg RandNEConfig) (*VectorEmbedding, error) {
 		cfg.Weights = []float64{1, 1e2, 1e4, 1e5}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	u := matrix.Orthonormalize(matrix.GaussianDense(g.N, cfg.Dim, rng))
+	u := matrix.OrthonormalizePool(nil, nil, matrix.GaussianDense(g.N, cfg.Dim, rng))
 	if u.Cols < cfg.Dim {
 		return nil, fmt.Errorf("baselines: RandNE projection lost rank (%d of %d)", u.Cols, cfg.Dim)
 	}

@@ -144,14 +144,16 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 	// Lines 3–5: X_i = (1−α)·P·X_{i−1} + X₁; X = α(1−α)·X_{ℓ₁}.
 	stopPPR := t.phaseTimer(&t.stats.PPR)
 	p := g.Transition()
-	x := x1.Clone()
+	// x and next swap roles every iteration: two buffers for the whole
+	// fold instead of a fresh n×k′ product per step.
+	x, next := x1.Clone(), matrix.NewDense(x1.Rows, x1.Cols)
 	iters := 0
 	for i := 2; i <= opt.L1; i++ {
 		if err := t.err(); err != nil {
 			stopPPR(iters)
 			return nil, nil, err
 		}
-		next := p.MulDensePool(t.pool, x)
+		p.MulDenseIntoPool(t.pool, x, next)
 		// Fused (1−α)·next + X₁, parallel over disjoint row ranges.
 		t.pool.For(g.N, func(_, lo, hi int) {
 			oneMinus := 1 - opt.Alpha
@@ -163,7 +165,7 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 				}
 			}
 		})
-		x = next
+		x, next = next, x
 		iters++
 		t.step(PhasePPR, iters, opt.L1-1)
 	}

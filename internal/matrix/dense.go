@@ -1,5 +1,5 @@
 // Package matrix provides the dense linear-algebra substrate used by the
-// NRP embedding pipeline: row-major dense matrices, QR orthonormalization,
+// NRP embedding pipeline: row-major dense matrices, orthonormalization,
 // symmetric eigendecomposition and small dense SVD.
 //
 // The package is deliberately self-contained (standard library only); the
@@ -225,7 +225,7 @@ func (m *Dense) FrobeniusNorm() float64 {
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("matrix: dot length mismatch %d vs %d", len(a), len(b)))
+		panic("matrix: dot length mismatch") // constant string: keeps Dot inlinable
 	}
 	s := 0.0
 	for i, v := range a {
@@ -237,7 +237,7 @@ func Dot(a, b []float64) float64 {
 // Axpy computes y += a*x for equal-length vectors.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("matrix: axpy length mismatch %d vs %d", len(x), len(y)))
+		panic("matrix: axpy length mismatch") // constant string: keeps Axpy inlinable
 	}
 	for i, v := range x {
 		y[i] += a * v

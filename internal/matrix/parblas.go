@@ -10,17 +10,12 @@ package matrix
 //   - MulAtBPool and GramPool accumulate per-worker partial products over
 //     row ranges and merge them in fixed tree order — bit-identical for a
 //     fixed pool size, ≈machine-epsilon reassociation across sizes.
-//   - OrthonormalizePool is a blocked classical Gram–Schmidt with full
-//     reorthogonalization (BCGS2) whose parallel building blocks write
-//     disjoint ranges in fixed loop order — bit-identical for every pool
-//     size (including nil), though not to the serial modified-Gram-Schmidt
-//     Orthonormalize, which orders its projections differently.
+//   - OrthonormalizePool (basis.go) is built from the same kind of
+//     reduction — per-worker partials of qᵀb and of the panel's Gram
+//     matrix merged in tree order — so it too is bit-identical for a fixed
+//     pool size and differs by reassociation across sizes.
 
-import (
-	"math"
-
-	"github.com/nrp-embed/nrp/internal/par"
-)
+import "github.com/nrp-embed/nrp/internal/par"
 
 // mulKBlock is the k-panel height of the blocked GEMM inner loops: panels
 // of b this tall stay resident in L1/L2 while a chunk of output rows
@@ -147,125 +142,5 @@ func GramPool(p *par.Pool, a *Dense) *Dense {
 			out.Data[j*k+i] = out.Data[i*k+j]
 		}
 	}
-	return out
-}
-
-// orthBlock is the column-block width of OrthonormalizePool. Within a
-// block, columns are orthonormalized serially (O(n·nb²) per block); the
-// dominant inter-block projections are the parallel kernels.
-const orthBlock = 32
-
-// OrthonormalizePool returns a matrix whose columns form an orthonormal
-// basis of the column space of a — the pool-parallel counterpart of
-// Orthonormalize, computed by blocked classical Gram–Schmidt with full
-// reorthogonalization (BCGS2): each 32-column block is projected against
-// the basis built so far (twice, via parallel panel products), then
-// orthonormalized internally by serial MGS2. Numerically dependent
-// columns are dropped with Orthonormalize's tolerance. The parallel
-// building blocks write disjoint ranges in fixed loop order, so the
-// result is bit-identical for every pool size, including nil.
-func OrthonormalizePool(p *par.Pool, a *Dense) *Dense {
-	n, c := a.Rows, a.Cols
-	if c == 0 || n == 0 {
-		return NewDense(n, 0)
-	}
-	// qt holds the basis column-major: row q of qt is basis vector q.
-	qt := NewDense(c, n)
-	built := 0
-
-	bcols := make([][]float64, 0, orthBlock)
-	for c0 := 0; c0 < c; c0 += orthBlock {
-		c1 := c0 + orthBlock
-		if c1 > c {
-			c1 = c
-		}
-		nb := c1 - c0
-		// Gather the block column-major (parallel over rows).
-		bcols = bcols[:0]
-		for j := 0; j < nb; j++ {
-			bcols = append(bcols, make([]float64, n))
-		}
-		p.For(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				for j := 0; j < nb; j++ {
-					bcols[j][i] = arow[c0+j]
-				}
-			}
-		})
-		orig := make([]float64, nb)
-		for j := 0; j < nb; j++ {
-			orig[j] = Norm2(bcols[j])
-		}
-
-		// Project the block against the basis built so far, twice
-		// (classical Gram–Schmidt with reorthogonalization).
-		for pass := 0; pass < 2 && built > 0; pass++ {
-			// S[q][j] = <basis q, block column j>: disjoint S rows, each a
-			// serial dot — order independent of the partition.
-			s := NewDense(built, nb)
-			p.For(built, func(_, qlo, qhi int) {
-				for q := qlo; q < qhi; q++ {
-					qrow := qt.Row(q)
-					srow := s.Row(q)
-					for j := 0; j < nb; j++ {
-						srow[j] = Dot(qrow, bcols[j])
-					}
-				}
-			})
-			// block -= basisᵀ·S: parallel over element ranges, basis
-			// vectors applied in fixed ascending order.
-			p.For(n, func(_, lo, hi int) {
-				for q := 0; q < built; q++ {
-					qseg := qt.Row(q)[lo:hi]
-					srow := s.Row(q)
-					for j := 0; j < nb; j++ {
-						sv := srow[j]
-						if sv == 0 {
-							continue
-						}
-						bseg := bcols[j][lo:hi]
-						for i, qv := range qseg {
-							bseg[i] -= sv * qv
-						}
-					}
-				}
-			})
-		}
-
-		// Orthonormalize within the block: serial MGS with a second pass,
-		// appending surviving columns to the basis.
-		blockStart := built
-		for j := 0; j < nb; j++ {
-			col := bcols[j]
-			for pass := 0; pass < 2; pass++ {
-				for q := blockStart; q < built; q++ {
-					proj := Dot(qt.Row(q), col)
-					Axpy(-proj, qt.Row(q), col)
-				}
-			}
-			nrm := Norm2(col)
-			if nrm <= orthTol || nrm <= orthTol*math.Max(1, orig[j]) {
-				continue // dependent column
-			}
-			inv := 1 / nrm
-			dst := qt.Row(built)
-			for i, v := range col {
-				dst[i] = v * inv
-			}
-			built++
-		}
-	}
-
-	// Transpose the basis back to column layout (parallel over rows).
-	out := NewDense(n, built)
-	p.For(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
-			for q := 0; q < built; q++ {
-				orow[q] = qt.Data[q*n+i]
-			}
-		}
-	})
 	return out
 }

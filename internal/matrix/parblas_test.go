@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -89,59 +88,5 @@ func TestGramPoolSymmetricAndCorrect(t *testing.T) {
 	empty := GramPool(par.New(2), NewDense(0, 5))
 	if empty.Rows != 5 || empty.Cols != 5 {
 		t.Fatalf("empty Gram shape %dx%d", empty.Rows, empty.Cols)
-	}
-}
-
-// TestOrthonormalizePoolProperties checks the blocked BCGS2 produces an
-// orthonormal basis spanning the input columns, is invariant to pool
-// size bit for bit, and drops dependent columns.
-func TestOrthonormalizePoolProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := GaussianDense(157, 45, rng) // spans two column blocks
-	ref := OrthonormalizePool(nil, a)
-	if ref.Cols != 45 {
-		t.Fatalf("full-rank input kept %d of 45 columns", ref.Cols)
-	}
-	// Orthonormality.
-	g := MulAtB(ref, ref)
-	for i := 0; i < g.Rows; i++ {
-		for j := 0; j < g.Cols; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(g.At(i, j)-want) > 1e-10 {
-				t.Fatalf("QᵀQ[%d,%d] = %v", i, j, g.At(i, j))
-			}
-		}
-	}
-	// Span: every input column reconstructs from the basis.
-	proj := Mul(ref, MulAtB(ref, a)) // Q·QᵀA
-	if d := proj.MaxAbsDiff(a); d > 1e-9 {
-		t.Fatalf("span not preserved: residual %g", d)
-	}
-	// Pool-size invariance, bit for bit.
-	for _, workers := range []int{1, 2, 7} {
-		bitIdentical(t, "OrthonormalizePool", OrthonormalizePool(par.New(workers), a), ref)
-	}
-}
-
-// TestOrthonormalizePoolDropsDependent feeds duplicated and zero columns.
-func TestOrthonormalizePoolDropsDependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	base := GaussianDense(50, 3, rng)
-	a := NewDense(50, 7)
-	for i := 0; i < 50; i++ {
-		row := a.Row(i)
-		brow := base.Row(i)
-		row[0], row[1], row[2] = brow[0], brow[1], brow[2]
-		row[3] = brow[0]                     // duplicate
-		row[4] = 2*brow[1] - 0.5*brow[2]     // combination
-		row[5] = 0                           // zero column
-		row[6] = brow[0] + brow[1] + brow[2] // combination
-	}
-	q := OrthonormalizePool(par.New(3), a)
-	if q.Cols != 3 {
-		t.Fatalf("kept %d columns of rank-3 input, want 3", q.Cols)
 	}
 }

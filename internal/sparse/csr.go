@@ -319,19 +319,27 @@ func (a *CSR) MulDense(x *matrix.Dense) *matrix.Dense {
 // serial product — so the result is bit-identical to MulDense for every
 // pool size. A nil pool runs serially.
 func (a *CSR) MulDensePool(p *par.Pool, x *matrix.Dense) *matrix.Dense {
-	if x.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: MulDense shape %dx%d * %dx%d", a.Rows, a.Cols, x.Rows, x.Cols))
-	}
 	out := matrix.NewDense(a.Rows, x.Cols)
+	a.MulDenseIntoPool(p, x, out)
+	return out
+}
+
+// MulDenseIntoPool is MulDensePool writing a·x over out, an
+// a.Rows-by-x.Cols matrix that must not alias x — for loops that would
+// otherwise allocate a fresh product every iteration.
+func (a *CSR) MulDenseIntoPool(p *par.Pool, x, out *matrix.Dense) {
+	if x.Rows != a.Cols || out.Rows != a.Rows || out.Cols != x.Cols {
+		panic(fmt.Sprintf("sparse: MulDense shape %dx%d * %dx%d into %dx%d", a.Rows, a.Cols, x.Rows, x.Cols, out.Rows, out.Cols))
+	}
 	p.ForWeighted(a.Rows, a.RowPtr, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			orow := out.Row(i)
+			clear(orow)
 			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 				matrix.Axpy(a.Val[q], x.Row(int(a.ColIdx[q])), orow)
 			}
 		}
 	})
-	return out
 }
 
 // MulDenseT computes aᵀ·x for a dense x (a.Rows rows), returning a new

@@ -40,6 +40,8 @@ func TestMulDensePoolMatchesSerial(t *testing.T) {
 		if got.Rows != want.Rows || got.Cols != want.Cols {
 			t.Fatalf("workers=%d: shape %dx%d, want %dx%d", workers, got.Rows, got.Cols, want.Rows, want.Cols)
 		}
+		// The Into form must overwrite whatever the buffer held.
+		a.MulDenseIntoPool(par.New(workers), x, got)
 		for i, v := range want.Data {
 			if got.Data[i] != v {
 				t.Fatalf("workers=%d: element %d = %v, want %v (must be bit-identical)", workers, i, got.Data[i], v)

@@ -132,35 +132,34 @@ func BKSVD(a *sparse.CSR, opt Options) (*Result, error) {
 		return nil, err
 	}
 	pool := opt.Pool
-	blocks := make([]*matrix.Dense, 0, q+1)
-	cur := a.MulDensePool(pool, pi) // n×k
-	// Orthonormalize each block before powering to tame the geometric
-	// growth of the leading direction (standard practice; preserves span).
-	cur = matrix.OrthonormalizePool(pool, cur)
-	blocks = append(blocks, cur)
+	// Each block is projected against the blocks before it and
+	// orthonormalized as it is produced, so the basis is orthonormal as a
+	// whole when the loop ends; powering an orthonormal block also tames
+	// the geometric growth of the leading direction.
+	basis := matrix.NewBasis(n, (q+1)*k)
+	cur := matrix.OrthonormalizePool(pool, basis, a.MulDensePool(pool, pi)) // n×k
 	itersRun := 0
 	for i := 0; i < q; i++ {
 		if err := opt.checkCtx(); err != nil {
 			return nil, err
 		}
 		next := a.MulDensePool(pool, a.MulDenseTPool(pool, cur)) // (A Aᵀ) cur
-		next = matrix.OrthonormalizePool(pool, next)
-		blocks = append(blocks, next)
-		cur = next
+		cur = matrix.OrthonormalizePool(pool, basis, next)
 		itersRun++
 		opt.step(itersRun, q)
 	}
 	if err := opt.checkCtx(); err != nil {
 		return nil, err
 	}
-	kry := hcat(n, blocks)
+	return rayleighRitz(a, pool, basis.Dense(), k, itersRun), nil
+}
 
-	// Q = orth(K); M = Qᵀ A Aᵀ Q = WᵀW with W = AᵀQ.
-	qMat := matrix.OrthonormalizePool(pool, kry)
+// rayleighRitz extracts the rank-k factors from an orthonormal basis Q of
+// the search space: M = QᵀAAᵀQ = WᵀW with W = AᵀQ, its top-k
+// eigenpairs (λ, z) give σ = √λ, U = Q·z and V = AᵀUΣ⁻¹ = W·z·Σ⁻¹.
+func rayleighRitz(a *sparse.CSR, pool *par.Pool, qMat *matrix.Dense, k, itersRun int) *Result {
 	w := a.MulDenseTPool(pool, qMat) // m × B
-	mSmall := matrix.GramPool(pool, w)
-
-	vals, vecs := matrix.TopKEigen(mSmall, k)
+	vals, vecs := matrix.TopKEigen(matrix.GramPool(pool, w), k)
 	s := make([]float64, len(vals))
 	for i, lambda := range vals {
 		if lambda < 0 {
@@ -168,10 +167,12 @@ func BKSVD(a *sparse.CSR, opt Options) (*Result, error) {
 		}
 		s[i] = math.Sqrt(lambda)
 	}
-	u := matrix.MulPool(pool, qMat, vecs) // n × k
-	// V = AᵀUΣ⁻¹ = W · vecs · Σ⁻¹.
-	v := scaledV(pool, w, vecs, s)
-	return &Result{U: u, S: s, V: v, ItersRun: itersRun}, nil
+	return &Result{
+		U:        matrix.MulPool(pool, qMat, vecs), // n × k
+		S:        s,
+		V:        scaledV(pool, w, vecs, s),
+		ItersRun: itersRun,
+	}
 }
 
 // scaledV computes V = W·vecs·Σ⁻¹, zeroing the inverse for numerically
@@ -220,49 +221,20 @@ func SubspaceIteration(a *sparse.CSR, opt Options) (*Result, error) {
 		return nil, err
 	}
 	pool := opt.Pool
-	cur := matrix.OrthonormalizePool(pool, a.MulDensePool(pool, pi))
+	cur := matrix.OrthonormalizePool(pool, nil, a.MulDensePool(pool, pi))
 	itersRun := 0
 	for i := 0; i < q; i++ {
 		if err := opt.checkCtx(); err != nil {
 			return nil, err
 		}
-		cur = matrix.OrthonormalizePool(pool, a.MulDensePool(pool, a.MulDenseTPool(pool, cur)))
+		cur = matrix.OrthonormalizePool(pool, nil, a.MulDensePool(pool, a.MulDenseTPool(pool, cur)))
 		itersRun++
 		opt.step(itersRun, q)
 	}
 	if err := opt.checkCtx(); err != nil {
 		return nil, err
 	}
-	w := a.MulDenseTPool(pool, cur)
-	mSmall := matrix.GramPool(pool, w)
-	vals, vecs := matrix.TopKEigen(mSmall, k)
-	s := make([]float64, len(vals))
-	for i, lambda := range vals {
-		if lambda < 0 {
-			lambda = 0
-		}
-		s[i] = math.Sqrt(lambda)
-	}
-	u := matrix.MulPool(pool, cur, vecs)
-	v := scaledV(pool, w, vecs, s)
-	return &Result{U: u, S: s, V: v, ItersRun: itersRun}, nil
-}
-
-// hcat horizontally concatenates blocks that all have n rows.
-func hcat(n int, blocks []*matrix.Dense) *matrix.Dense {
-	total := 0
-	for _, b := range blocks {
-		total += b.Cols
-	}
-	out := matrix.NewDense(n, total)
-	off := 0
-	for _, b := range blocks {
-		for i := 0; i < n; i++ {
-			copy(out.Row(i)[off:off+b.Cols], b.Row(i))
-		}
-		off += b.Cols
-	}
-	return out
+	return rayleighRitz(a, pool, cur, k, itersRun), nil
 }
 
 // initBlock resolves the starting block: the caller's warm-start block

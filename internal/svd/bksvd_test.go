@@ -16,8 +16,8 @@ import (
 // to triples (small sizes only).
 func lowRankSparse(t *testing.T, n, m int, s []float64, rng *rand.Rand) *sparse.CSR {
 	t.Helper()
-	u := matrix.Orthonormalize(matrix.GaussianDense(n, len(s), rng))
-	v := matrix.Orthonormalize(matrix.GaussianDense(m, len(s), rng))
+	u := matrix.OrthonormalizePool(nil, nil, matrix.GaussianDense(n, len(s), rng))
+	v := matrix.OrthonormalizePool(nil, nil, matrix.GaussianDense(m, len(s), rng))
 	var entries []sparse.Triple
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
@@ -282,5 +282,28 @@ func TestBKSVDWarmStart(t *testing.T) {
 	}
 	if _, err := SubspaceIteration(a2, Options{Rank: 4, Init: matrix.NewDense(7, 4), Rng: rng}); err == nil {
 		t.Fatal("expected shape error for bad warm-start block (subspace)")
+	}
+}
+
+// TestBKSVDKrylovSpaceExhausted factorizes a rank-2 matrix at rank 2 with
+// more iterations than its Krylov space has dimensions: every block after
+// the first is dependent on the basis and must be dropped, not
+// orthonormalized into noise.
+func TestBKSVDKrylovSpaceExhausted(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	trueS := []float64{5, 2}
+	a := lowRankSparse(t, 30, 25, trueS, rng)
+	const q = 4
+	res, err := BKSVD(a, Options{Rank: 2, Iters: q, Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ItersRun > q {
+		t.Fatalf("ItersRun = %d, want <= %d", res.ItersRun, q)
+	}
+	for i, want := range trueS {
+		if math.Abs(res.S[i]-want) > 1e-8*want {
+			t.Fatalf("singular value %d: got %v want %v", i, res.S[i], want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/nrp-embed/nrp/internal/graph"
 	"github.com/nrp-embed/nrp/internal/par"
 	"github.com/nrp-embed/nrp/internal/sparse"
 )
@@ -59,6 +60,22 @@ func TestBKSVDPoolParity(t *testing.T) {
 	for i := range pooled.U.Data {
 		if pooled.U.Data[i] != again.U.Data[i] {
 			t.Fatalf("repeated pooled run differs in U at %d", i)
+		}
+	}
+}
+
+// BenchmarkBKSVD times one factorization at the shape of the end-to-end
+// benchmark's build workload, so kernel work has a short loop to run.
+func BenchmarkBKSVD(b *testing.B) {
+	g, err := graph.GenSBM(graph.SBMConfig{N: 20000, M: 70000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := par.New(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BKSVD(g.Adj, Options{Rank: 32, Epsilon: 0.2, Rng: rand.New(rand.NewSource(1)), Pool: pool}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
