@@ -73,9 +73,14 @@ type Searcher interface {
 	// TopK returns the k nodes v maximizing the directed proximity
 	// Score(u, v), best first, fanning one query out across all shards.
 	TopK(ctx context.Context, u, k int) ([]Neighbor, error)
-	// TopKMany answers a batch of top-k queries, parallelized across the
-	// queries (each query then scans its shards sequentially), and
-	// reports per-query work stats. The result is aligned with us.
+	// TopKMany answers a batch of top-k queries and reports per-query
+	// work stats. The result is aligned with us. On the exhaustive
+	// backends (exact, quantized) the batch runs a few queries at a time,
+	// each step fanned out over the row shards like a TopK — so a
+	// one-source batch uses every shard, and Stats.Elapsed is the wall
+	// time of the step a query shared. On the sublinear backends (pruned,
+	// HNSW) the batch is parallelized across the queries, each scanning
+	// its shards sequentially.
 	TopKMany(ctx context.Context, us []int, k int) ([]Result, error)
 	// ScoreMany scores a batch of (u, v) pairs exactly.
 	ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error)
@@ -107,6 +112,7 @@ type kernel interface {
 	// to [1, candidates on offer]. Dispatch happens here, once per query;
 	// the candidate loop inside calls its scoring kernel directly. When
 	// parallel, a scan backend may fan its shards out across goroutines.
+	// TopKMany passes false only on a backend that is not exhaustive.
 	search(ctx context.Context, ix *index, u, k int, parallel bool) ([]Neighbor, QueryStats, error)
 	// snapshotBackend names the backend an NRPX header declares for the
 	// payload writePayload emits after the embedding.
@@ -114,19 +120,47 @@ type kernel interface {
 	writePayload(bw *bufio.Writer) error
 }
 
+// tileKernel is the batch seam an exhaustive kernel may add: searchTile
+// answers up to scanTile validated queries (k clamped like search's) in
+// one pass over the candidate rows, fanned out over the row shards, and
+// stores each answer through its query's res.
+type tileKernel interface {
+	searchTile(ctx context.Context, ix *index, qs []tileQuery) error
+}
+
+// tileQuery is one query of a tile and where its answer goes.
+type tileQuery struct {
+	u, k int
+	res  *Result
+}
+
+// scanTile is how many queries of a batch an exhaustive backend answers
+// per fork-join over its row shards. Wider tiles amortize one pass over
+// Y across more queries; narrower ones keep the parts short, and the
+// scheduler only reaches the network poller between parts. 4 measured
+// best of 1, 4 and 8 on serve_scan (docs/ARCHITECTURE.md has the table).
+const scanTile = 4
+
 // backends is indexed by Backend. build runs the backend's build-time
 // preprocessing (it may write resolved defaults back into cfg); decode
 // reads the payload build's kernel would have written. decode is nil for
 // HNSW, which no header names: its graph rides in a trailing section
 // behind an exact or quantized base (see readHNSWSection).
+//
+// exhaustive marks the backends whose every query scores every candidate
+// row: hundreds of microseconds of equal, divisible work. TopKMany runs
+// their batches tile after tile with the row shards in parallel; a
+// sublinear backend's query is tens of microseconds that stop early at
+// a data-dependent row, so its batches stay parallel across queries.
 var backends = [...]struct {
-	build  func(emb *Embedding, cfg *indexConfig) kernel
-	decode func(br *bufio.Reader, emb *Embedding) (kernel, error)
+	build      func(emb *Embedding, cfg *indexConfig) kernel
+	decode     func(br *bufio.Reader, emb *Embedding) (kernel, error)
+	exhaustive bool
 }{
-	BackendExact:     {buildExact, decodeExact},
-	BackendQuantized: {buildQuant, decodeQuant},
-	BackendPruned:    {buildPruned, decodePruned},
-	BackendHNSW:      {buildHNSW, nil},
+	BackendExact:     {buildExact, decodeExact, true},
+	BackendQuantized: {buildQuant, decodeQuant, true},
+	BackendPruned:    {buildPruned, decodePruned, false},
+	BackendHNSW:      {buildHNSW, nil, false},
 }
 
 // BuildIndex constructs a query index over emb with the selected backend:
@@ -174,8 +208,8 @@ func (ix *index) TopK(ctx context.Context, u, k int) ([]Neighbor, error) {
 
 // topkOne runs one query: the preamble every backend shares, then the
 // kernel. When parallel, each shard is scanned by its own goroutine;
-// otherwise shards are scanned inline (the TopKMany path, which
-// parallelizes across queries instead).
+// otherwise shards are scanned inline (TopKMany on the sublinear
+// backends, which parallelizes across queries instead).
 func (ix *index) topkOne(ctx context.Context, u, k int, parallel bool) ([]Neighbor, QueryStats, error) {
 	start := time.Now()
 	n := ix.emb.N()
@@ -199,10 +233,10 @@ func (ix *index) topkOne(ctx context.Context, u, k int, parallel bool) ([]Neighb
 	return nbrs, stats, err
 }
 
-// TopKMany validates a batch of sources up front, then answers them with
-// up to cfg.shards concurrent queries, each scanning its shards inline.
+// TopKMany validates a batch of sources up front, then answers it the
+// way the backend's row of the backends table says.
 func (ix *index) TopKMany(ctx context.Context, us []int, k int) ([]Result, error) {
-	n, workers := ix.emb.N(), ix.cfg.shards
+	n := ix.emb.N()
 	if k <= 0 {
 		return nil, fmt.Errorf("nrp: TopKMany k=%d: %w", k, ErrInvalidK)
 	}
@@ -215,13 +249,70 @@ func (ix *index) TopKMany(ctx context.Context, us []int, k int) ([]Result, error
 		return nil, err
 	}
 	out := make([]Result, len(us))
-	errs := make([]error, len(us))
-	if workers > len(us) {
-		workers = len(us)
+	for i, u := range us {
+		out[i].Source = u
 	}
-	if workers < 1 {
-		workers = 1
+	var err error
+	if backends[ix.cfg.backend].exhaustive {
+		err = ix.topkManyByRows(ctx, k, out)
+	} else {
+		err = ix.topkManyByQueries(ctx, k, out)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// topkManyByRows answers out's sources tile after tile, each tile one
+// fork-join over the row shards: through the kernel's searchTile when it
+// has one, else query by query through the parallel search.
+func (ix *index) topkManyByRows(ctx context.Context, k int, out []Result) error {
+	tk, tiled := ix.kern.(tileKernel)
+	if !tiled {
+		for i := range out {
+			var err error
+			if out[i].Neighbors, out[i].Stats, err = ix.topkOne(ctx, out[i].Source, k, true); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	n := ix.emb.N()
+	var tile [scanTile]tileQuery
+	for len(out) > 0 {
+		start := time.Now()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		w := min(scanTile, len(out))
+		qs := tile[:0]
+		for i := range out[:w] {
+			// A slice that holds nothing but the source has no candidate
+			// on offer: that query's answer stays empty.
+			if kq := min(k, ix.cfg.availCandidates(n, out[i].Source)); kq > 0 {
+				qs = append(qs, tileQuery{u: out[i].Source, k: kq, res: &out[i]})
+			}
+		}
+		if len(qs) > 0 {
+			if err := tk.searchTile(ctx, ix, qs); err != nil {
+				return err
+			}
+		}
+		elapsed := time.Since(start)
+		for _, q := range qs {
+			q.res.Stats.Elapsed = elapsed
+		}
+		out = out[w:]
+	}
+	return nil
+}
+
+// topkManyByQueries answers out's sources with up to cfg.shards
+// concurrent queries, each scanning its shards inline.
+func (ix *index) topkManyByQueries(ctx context.Context, k int, out []Result) error {
+	workers := clampParts(ix.cfg.shards, len(out))
+	errs := make([]error, len(out))
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -229,23 +320,21 @@ func (ix *index) TopKMany(ctx context.Context, us []int, k int) ([]Result, error
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				nbrs, stats, err := ix.topkOne(ctx, us[i], k, false)
-				out[i] = Result{Source: us[i], Neighbors: nbrs, Stats: stats}
-				errs[i] = err
+				out[i].Neighbors, out[i].Stats, errs[i] = ix.topkOne(ctx, out[i].Source, k, false)
 			}
 		}()
 	}
-	for i := range us {
+	for i := range out {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ScoreMany scores a batch of directed pairs with the float64 kernel,
@@ -264,12 +353,7 @@ func (ix *index) ScoreMany(ctx context.Context, pairs []Pair) ([]float64, error)
 		return nil, err
 	}
 	out := make([]float64, len(pairs))
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = clampParts(workers, len(pairs))
 	errs := make([]error, workers)
 	scoreChunk := func(w int) {
 		lo, hi := contiguousSpan(len(pairs), w, workers)

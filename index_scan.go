@@ -6,9 +6,12 @@ import (
 	"sync"
 )
 
-// The scan scaffold the exhaustive backends (exact, quantized, pruned)
-// share: shard a candidate space, keep a private top-k heap per shard,
-// merge. A backend supplies only the loop that scores its shard.
+// The scan scaffold the scan backends (exact, quantized, pruned) share:
+// shard a candidate space, keep a private top-k heap per shard, merge. A
+// backend supplies only the loop that scores its shard. The quantized and
+// pruned kernels run theirs through runShardScan, one query at a time;
+// the exact kernel's loop scores a tile of queries per pass and carries
+// its own fork-join (index_exact.go).
 
 // ctxCheckStride is how many candidates a scan worker processes between
 // context checks — frequent enough for sub-millisecond cancellation, rare
@@ -36,16 +39,17 @@ func contiguousSpan(n, w, shards int) (lo, hi int) {
 	return lo, hi
 }
 
+// clampParts bounds a shard or worker count to the n items there are to
+// split, and to at least one.
+func clampParts(parts, n int) int {
+	return max(1, min(parts, n))
+}
+
 // runShardScan runs scan for every shard (concurrently when parallel)
 // and merges the per-shard heaps into the sorted global top k.
 func runShardScan(ctx context.Context, n, shards, k int, parallel bool, scan shardScanFunc) ([]Neighbor, QueryStats, error) {
 	var stats QueryStats
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = clampParts(shards, n)
 
 	heaps := make([]topkHeap, shards)
 	scanned := make([]int, shards)

@@ -315,7 +315,12 @@ func (rt *Router) fetchTopK(ctx context.Context, sh *shard, body []byte) (*serve
 	launched, failed := 1, 0
 	var hedge <-chan time.Time
 	if rt.cfg.HedgeAfter > 0 {
-		hedge = time.After(rt.cfg.HedgeAfter)
+		// Stopped on return: below go 1.23 semantics an abandoned
+		// time.After timer stays reachable until it fires, one per shard
+		// call for HedgeAfter.
+		t := time.NewTimer(rt.cfg.HedgeAfter)
+		defer t.Stop()
+		hedge = t.C
 	}
 	for {
 		select {
