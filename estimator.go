@@ -16,8 +16,8 @@ const (
 	EstimatorPush = core.EstimatorPush
 	// EstimatorFORA estimates the top entries of each PPR row by FORA
 	// sampling over a shared walk index with top-k early termination,
-	// then factorizes the sparse proximity matrix directly. Typically
-	// ≥ 2× faster than push at matching link-prediction AUC.
+	// then factorizes the sparse proximity matrix directly, at matching
+	// link-prediction AUC.
 	EstimatorFORA = core.EstimatorFORA
 )
 

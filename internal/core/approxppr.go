@@ -92,6 +92,7 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 		Iters:   opt.KrylovIters,
 		Rng:     rng,
 		Init:    init,
+		At:      g.RAdj,
 		Ctx:     t.ctx,
 		Pool:    t.pool,
 		Progress: func(iter, total int) {
@@ -121,7 +122,7 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 	for i, s := range res.S {
 		sqrtS[i] = math.Sqrt(s)
 	}
-	x1 := res.U.Clone()
+	x1 := res.U // scaled in place: U is not used again
 	invDeg := g.InvOutDegrees()
 	t.pool.For(g.N, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -131,7 +132,7 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 			}
 		}
 	})
-	y := res.V.Clone()
+	y := res.V.Clone() // V itself is returned for warm starts
 	t.pool.For(g.N, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := y.Row(v)
@@ -142,8 +143,9 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 	})
 
 	// Lines 3–5: X_i = (1−α)·P·X_{i−1} + X₁; X = α(1−α)·X_{ℓ₁}.
+	// P·X is D⁻¹·(A·X): the 1/d row scale rides in the fused loop below,
+	// so the fold needs no copy of the CSR with 1/d values.
 	stopPPR := t.phaseTimer(&t.stats.PPR)
-	p := g.Transition()
 	// x and next swap roles every iteration: two buffers for the whole
 	// fold instead of a fresh n×k′ product per step.
 	x, next := x1.Clone(), matrix.NewDense(x1.Rows, x1.Cols)
@@ -153,15 +155,15 @@ func approxPPRFactors(g *graph.Graph, opt Options, t *tracker, init *matrix.Dens
 			stopPPR(iters)
 			return nil, nil, err
 		}
-		p.MulDenseIntoPool(t.pool, x, next)
-		// Fused (1−α)·next + X₁, parallel over disjoint row ranges.
+		g.Adj.MulDenseIntoPool(t.pool, x, next)
+		// Fused (1−α)·D⁻¹·next + X₁, parallel over disjoint row ranges.
 		t.pool.For(g.N, func(_, lo, hi int) {
-			oneMinus := 1 - opt.Alpha
 			for u := lo; u < hi; u++ {
+				scale := (1 - opt.Alpha) * invDeg[u]
 				row := next.Row(u)
 				x1row := x1.Row(u)
 				for j := range row {
-					row[j] = row[j]*oneMinus + x1row[j]
+					row[j] = row[j]*scale + x1row[j]
 				}
 			}
 		})

@@ -110,7 +110,7 @@ func propagateAttributes(g *graph.Graph, attrs *matrix.Dense, opt AttributedOpti
 		proj.Scale(1 / float64(attrs.Cols))
 		f = matrix.MulPool(t.pool, attrs, proj)
 	}
-	p := g.Transition()
+	invDeg := g.InvOutDegrees() // P·X is D⁻¹·(A·X): no CSR copy with 1/d values
 	cur := f.Clone()
 	cur.Scale(opt.Alpha)
 	acc := cur.Clone()
@@ -120,16 +120,16 @@ func propagateAttributes(g *graph.Graph, attrs *matrix.Dense, opt AttributedOpti
 			stop(iters)
 			return nil, err
 		}
-		cur = p.MulDensePool(t.pool, cur)
-		// Fused (1−α)-scale of cur and accumulate into acc, parallel over
-		// disjoint row ranges.
+		cur = g.Adj.MulDensePool(t.pool, cur)
+		// Fused (1−α)·D⁻¹-scale of cur and accumulate into acc, parallel
+		// over disjoint row ranges.
 		t.pool.For(acc.Rows, func(_, lo, hi int) {
-			oneMinus := 1 - opt.Alpha
 			for v := lo; v < hi; v++ {
+				scale := (1 - opt.Alpha) * invDeg[v]
 				crow := cur.Row(v)
 				arow := acc.Row(v)
 				for j := range crow {
-					crow[j] *= oneMinus
+					crow[j] *= scale
 					arow[j] += crow[j]
 				}
 			}

@@ -17,9 +17,8 @@ const (
 	// EstimatorFORA estimates the top entries of every PPR row with the
 	// FORA sampling estimator (forward push + walks over one shared walk
 	// index, top-k early termination) and factorizes the resulting
-	// sparse proximity matrix directly. Typically ≥ 2× faster than push
-	// at matching link-prediction AUC; see the README's "Build
-	// estimators" section for the trade-offs.
+	// sparse proximity matrix directly, at matching link-prediction AUC;
+	// see the README's "Build estimators" section for the trade-offs.
 	EstimatorFORA Estimator = "fora"
 )
 

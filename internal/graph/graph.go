@@ -132,13 +132,7 @@ func (g *Graph) Arcs() int { return g.Adj.NNZ() }
 // out-degree-0 nodes are zero: a walk reaching them halts, which keeps
 // Eq. (1) of the paper well defined on graphs with dangling nodes.
 func (g *Graph) Transition() *sparse.CSR {
-	inv := make([]float64, g.N)
-	for v := 0; v < g.N; v++ {
-		if d := g.OutDeg(v); d > 0 {
-			inv[v] = 1 / float64(d)
-		}
-	}
-	return g.Adj.ScaleRows(inv)
+	return g.Adj.ScaleRows(g.InvOutDegrees())
 }
 
 // InvOutDegrees returns the element-wise inverse out-degree vector used as

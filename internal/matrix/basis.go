@@ -42,17 +42,19 @@ func (q *Basis) Cols() int {
 	return q.cols
 }
 
-// Dense returns the basis as a rows×Cols matrix. It aliases the basis
-// storage when the basis is full and is a compacted copy otherwise.
+// Dense returns the basis as a rows×Cols matrix over the basis storage. A
+// basis with unused capacity is first compacted in place — never copied,
+// it is the largest block of a factorization — and is full from then on.
 func (q *Basis) Dense() *Dense {
-	if q.cols == q.stride {
-		return &Dense{Rows: q.rows, Cols: q.cols, Data: q.data}
+	if q.cols < q.stride {
+		// Row r moves left to r·cols ≤ r·stride; ascending r never
+		// overwrites a row that has yet to move.
+		for r := 0; r < q.rows; r++ {
+			copy(q.data[r*q.cols:(r+1)*q.cols], q.row(r))
+		}
+		q.stride, q.data = q.cols, q.data[:q.rows*q.cols]
 	}
-	out := NewDense(q.rows, q.cols)
-	for r := 0; r < q.rows; r++ {
-		copy(out.Row(r), q.row(r))
-	}
-	return out
+	return &Dense{Rows: q.rows, Cols: q.cols, Data: q.data}
 }
 
 func (q *Basis) row(r int) []float64 {
@@ -78,7 +80,8 @@ func (q *Basis) append(p *par.Pool, w *Dense) {
 // an empty basis, so the result is an orthonormal basis of b's column
 // space. Columns that are numerically linear combinations of q and of
 // earlier columns are dropped, so the result may be narrower than b. b is
-// not modified.
+// overwritten: the result is built in it and aliases it unless columns were
+// dropped.
 //
 // The panel is projected against q by classical Gram–Schmidt applied
 // twice (S = qᵀb as per-worker partials merged in tree order, b −= q·S
@@ -97,7 +100,7 @@ func OrthonormalizePool(p *par.Pool, q *Basis, b *Dense) *Dense {
 		panic("matrix: OrthonormalizePool row count mismatch")
 	}
 	orig2 := colNorms2(b)
-	w := b.Clone()
+	w := b
 	q.project(p, w)
 	if !(cholQR(p, w, orig2) && cholQR(p, w, nil)) {
 		w = gramSchmidt(w, orig2)

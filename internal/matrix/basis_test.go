@@ -85,7 +85,7 @@ func TestOrthonormalizeDropsDependentColumns(t *testing.T) {
 func TestOrthonormalizePreservesSpan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := GaussianDense(15, 4, rng)
-	checkSpans(t, OrthonormalizePool(nil, nil, a), a)
+	checkSpans(t, OrthonormalizePool(nil, nil, a.Clone()), a)
 }
 
 // TestOrthonormalizeEmpty covers an empty panel (with and without a
@@ -124,11 +124,13 @@ func TestOrthonormalizePoolProperties(t *testing.T) {
 		basis := NewBasis(a.Rows, a.Cols)
 		for c0 := 0; c0 < a.Cols; c0 += 15 {
 			panel := colSlice(a, c0, c0+15)
-			keep := panel.Clone()
-			if got := OrthonormalizePool(p, basis, panel); got.Cols != 15 {
+			got := OrthonormalizePool(p, basis, panel)
+			if got.Cols != 15 {
 				t.Fatalf("full-rank panel kept %d of 15 columns", got.Cols)
 			}
-			bitIdentical(t, "input panel", panel, keep)
+			if &got.Data[0] != &panel.Data[0] {
+				t.Fatal("full-rank panel was copied, not orthonormalized in place")
+			}
 		}
 		return basis.Dense()
 	}
@@ -159,22 +161,34 @@ func TestOrthonormalizePoolDropsDependent(t *testing.T) {
 		row[5] = 0                           // zero column
 		row[6] = brow[0] + brow[1] + brow[2] // combination
 	}
-	q := OrthonormalizePool(par.New(3), nil, a)
+	q := OrthonormalizePool(par.New(3), nil, a.Clone())
 	if q.Cols != 3 {
 		t.Fatalf("kept %d columns of rank-3 input, want 3", q.Cols)
 	}
 	checkOrthonormalCols(t, q, 1e-12)
 	checkSpans(t, q, a)
 
-	// Columns already in the basis are dropped too, and the basis compacts.
+	// Columns already in the basis are dropped too, and the compacting
+	// Dense moves the rows together inside the basis storage: same values,
+	// no second copy of the basis, and stable when asked again.
 	basis := NewBasis(50, 10)
-	OrthonormalizePool(nil, basis, base)
-	if q := OrthonormalizePool(par.New(2), basis, a); q.Cols != 0 || basis.Cols() != 3 {
+	OrthonormalizePool(nil, basis, base.Clone())
+	if q := OrthonormalizePool(par.New(2), basis, a.Clone()); q.Cols != 0 || basis.Cols() != 3 {
 		t.Fatalf("panel inside the basis: %d new columns, basis holds %d, want 0 and 3", q.Cols, basis.Cols())
 	}
-	if d := basis.Dense(); d.Cols != 3 {
-		t.Fatalf("compacted basis has %d columns, want 3", d.Cols)
+	want := NewDense(50, 3)
+	for r := 0; r < 50; r++ {
+		copy(want.Row(r), basis.row(r))
 	}
+	storage := &basis.data[0]
+	for call := 0; call < 2; call++ {
+		d := basis.Dense()
+		bitIdentical(t, "compacted basis", d, want)
+		if &d.Data[0] != storage || len(d.Data) != 50*3 {
+			t.Fatalf("call %d: compacted basis was copied (or kept its stride): %d values", call, len(d.Data))
+		}
+	}
+	checkSpans(t, basis.Dense(), base)
 }
 
 // TestOrthonormalizeIllConditioned feeds power iterates whose condition
@@ -199,7 +213,7 @@ func TestOrthonormalizeIllConditioned(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		pool := par.New(workers)
-		q := OrthonormalizePool(pool, nil, a)
+		q := OrthonormalizePool(pool, nil, a.Clone())
 		checkOrthonormalCols(t, q, 1e-12)
 		checkSpans(t, q, a)
 

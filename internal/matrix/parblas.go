@@ -7,13 +7,17 @@ package matrix
 //   - MulPool and MulABtPool partition output rows, so each element's
 //     accumulation order matches the serial kernel exactly — results are
 //     bit-identical to Mul/MulABt for every pool size.
-//   - MulAtBPool and GramPool accumulate per-worker partial products over
-//     row ranges and merge them in fixed tree order — bit-identical for a
-//     fixed pool size, ≈machine-epsilon reassociation across sizes.
+//   - MulAtBPool, GramPool and GramRowsPool accumulate per-worker partial
+//     products over row ranges and merge them in fixed tree order —
+//     bit-identical for a fixed pool size, ≈machine-epsilon reassociation
+//     across sizes.
 //   - OrthonormalizePool (basis.go) is built from the same kind of
 //     reduction — per-worker partials of qᵀb and of the panel's Gram
 //     matrix merged in tree order — so it too is bit-identical for a fixed
 //     pool size and differs by reassociation across sizes.
+//
+// The sparse products (internal/sparse) belong to the first group in both
+// directions: Aᵀ·X is a row-partitioned product over the stored transpose.
 
 import "github.com/nrp-embed/nrp/internal/par"
 
@@ -109,30 +113,36 @@ func MulAtBPool(p *par.Pool, a, b *Dense) *Dense {
 	return &Dense{Rows: a.Cols, Cols: b.Cols, Data: p.TreeReduce(parts)}
 }
 
-// GramPool returns aᵀ·a, exploiting symmetry: each worker accumulates
-// only the upper triangle of its row-range partial (half the flops of
-// MulAtBPool), the partials merge in fixed tree order, and the result is
-// mirrored. Bit-identical for a fixed pool size.
+// GramPool returns aᵀ·a; see GramRowsPool, whose rows here are a's own.
 func GramPool(p *par.Pool, a *Dense) *Dense {
-	k := a.Cols
-	if a.Rows == 0 {
+	return GramRowsPool(p, a.Rows, a.Cols, func(r int, _ []float64) []float64 { return a.Row(r) })
+}
+
+// GramRowsPool returns Σ_r x_rᵀ·x_r over n rows x_r of width k that need
+// not exist as a matrix: row(r, buf) returns row r, either a slice the
+// caller already holds or buf (length k) after filling it. Each worker
+// takes a contiguous row range four rows at a time, accumulates the upper
+// triangle of its partial (half the flops of MulAtBPool), the partials
+// merge in fixed tree order and the result is mirrored: bit-identical for
+// a fixed pool size. Memory is one k×k partial and one 4×k buffer per
+// worker, whatever n is.
+func GramRowsPool(p *par.Pool, n, k int, row func(r int, buf []float64) []float64) *Dense {
+	if n <= 0 {
 		return NewDense(k, k)
 	}
-	nc := p.Chunks(a.Rows)
-	parts := make([][]float64, nc)
-	p.For(a.Rows, func(w, lo, hi int) {
+	parts := make([][]float64, p.Chunks(n))
+	p.For(n, func(w, lo, hi int) {
 		acc := make([]float64, k*k)
-		for r := lo; r < hi; r++ {
-			arow := a.Row(r)
-			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := acc[i*k : (i+1)*k]
-				for j := i; j < k; j++ {
-					orow[j] += av * arow[j]
+		buf := make([]float64, 5*k) // four row buffers and the zero row that pads the last group
+		var x [4][]float64
+		for r := lo; r < hi; r += 4 {
+			for t := range x {
+				x[t] = buf[4*k:]
+				if r+t < hi {
+					x[t] = row(r+t, buf[t*k:(t+1)*k])
 				}
 			}
+			accumGram4(acc, x[0], x[1], x[2], x[3])
 		}
 		parts[w] = acc
 	})
@@ -143,4 +153,31 @@ func GramPool(p *par.Pool, a *Dense) *Dense {
 		}
 	}
 	return out
+}
+
+// accumGram4 adds the upper triangle of the Gram matrix of four rows to
+// the k×k matrix g: g[i][j] += Σ_t x_t[i]·x_t[j] for j ≥ i, two rows of g
+// per sweep over j so eight multiply-adds share four loads of x and two
+// load/store pairs of g (the shape of accumQtB4).
+func accumGram4(g, x0, x1, x2, x3 []float64) {
+	k := len(x0)
+	x1, x2, x3 = x1[:k], x2[:k], x3[:k]
+	i := 0
+	for ; i+2 <= k; i += 2 {
+		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
+		b0, b1, b2, b3 := x0[i+1], x1[i+1], x2[i+1], x3[i+1]
+		g[i*k+i] += a0*a0 + a1*a1 + a2*a2 + a3*a3
+		ga := g[i*k+i+1 : (i+1)*k]
+		gb := g[(i+1)*k+i+1 : (i+2)*k][:len(ga)]
+		v0, v1, v2, v3 := x0[i+1:][:len(ga)], x1[i+1:][:len(ga)], x2[i+1:][:len(ga)], x3[i+1:][:len(ga)]
+		for j := range ga {
+			c0, c1, c2, c3 := v0[j], v1[j], v2[j], v3[j]
+			ga[j] += a0*c0 + a1*c1 + a2*c2 + a3*c3
+			gb[j] += b0*c0 + b1*c1 + b2*c2 + b3*c3
+		}
+	}
+	if i < k {
+		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
+		g[i*k+i] += a0*a0 + a1*a1 + a2*a2 + a3*a3
+	}
 }

@@ -66,23 +66,53 @@ func TestMulAtBPoolMatchesSerial(t *testing.T) {
 	}
 }
 
+// scalarGram is the one-row upper-triangle loop GramPool ran before the
+// 4-row kernel, mirrored: the reference the kernel is held to.
+func scalarGram(a *Dense) *Dense {
+	k := a.Cols
+	out := NewDense(k, k)
+	for r := 0; r < a.Rows; r++ {
+		row := a.Row(r)
+		for i, av := range row {
+			for j := i; j < k; j++ {
+				out.Data[i*k+j] += av * row[j]
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			out.Data[j*k+i] = out.Data[i*k+j]
+		}
+	}
+	return out
+}
+
 // TestGramPoolSymmetricAndCorrect checks GramPool against MulAtB(a, a)
-// and that the result is exactly symmetric.
+// and the scalar loop — every row count modulo 4 (per worker too), odd and
+// even widths — and that the result is exactly symmetric and repeats bit
+// for bit at a fixed pool size.
 func TestGramPoolSymmetricAndCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	a := GaussianDense(211, 19, rng)
-	want := MulAtB(a, a)
-	for _, workers := range []int{1, 3, 6} {
-		g := GramPool(par.New(workers), a)
-		if d := g.MaxAbsDiff(want); d > 1e-12 {
-			t.Fatalf("workers=%d: max abs diff %g", workers, d)
+	for _, shape := range [][2]int{{211, 19}, {208, 8}, {209, 1}, {210, 32}, {3, 5}, {1, 2}} {
+		a := GaussianDense(shape[0], shape[1], rng)
+		want := scalarGram(a)
+		if d := want.MaxAbsDiff(MulAtB(a, a)); d > 1e-12*float64(a.Rows) {
+			t.Fatalf("%dx%d: scalar reference off by %g", a.Rows, a.Cols, d)
 		}
-		for i := 0; i < g.Rows; i++ {
-			for j := 0; j < g.Cols; j++ {
-				if g.At(i, j) != g.At(j, i) {
-					t.Fatalf("workers=%d: asymmetric at (%d,%d)", workers, i, j)
+		for _, workers := range []int{1, 2, 3, 8} {
+			pool := par.New(workers)
+			g := GramPool(pool, a)
+			if d := g.MaxAbsDiff(want); d > 1e-12*float64(a.Rows) {
+				t.Fatalf("%dx%d workers=%d: max abs diff %g", a.Rows, a.Cols, workers, d)
+			}
+			for i := 0; i < g.Rows; i++ {
+				for j := 0; j < g.Cols; j++ {
+					if g.At(i, j) != g.At(j, i) {
+						t.Fatalf("workers=%d: asymmetric at (%d,%d)", workers, i, j)
+					}
 				}
 			}
+			bitIdentical(t, "GramPool repeat", GramPool(pool, a), g)
 		}
 	}
 	empty := GramPool(par.New(2), NewDense(0, 5))

@@ -3,13 +3,16 @@
 // sparse×vector and sparse×dense products, transposes and row scalings.
 //
 // Column indices are stored as int32 (graphs up to 2^31-1 nodes), values as
-// float64. The dense products come in two forms: the plain methods
-// (MulDense, MulDenseT) are single-threaded, and the Pool-taking variants
-// (MulDensePool, MulDenseTPool) partition work across a par.Pool — the
-// forward product by nnz-balanced row ranges writing disjoint output rows
-// (bit-identical to serial for any pool size), the transpose product via
-// per-worker accumulator matrices merged in fixed tree order (conflict-free
-// columns, deterministic for a fixed pool size).
+// float64. The dense products come in two forms: the plain method
+// (MulDense) is single-threaded, and the Pool-taking variants
+// (MulDensePool, MulDenseIntoPool) partition the output rows across a
+// par.Pool by nnz-balanced ranges, each row written by one worker with the
+// serial inner loop — bit-identical to serial for every pool size. There is
+// no transpose product: Aᵀ·X is the same row-partitioned product on the
+// stored transpose (graph.Graph.RAdj, or Transpose()), which costs no
+// per-worker accumulators and no reduction. MulDenseGramPool is the one
+// reduction kernel here (per-worker k×k partials merged in fixed tree
+// order, deterministic for a fixed pool size).
 package sparse
 
 import (
@@ -216,7 +219,16 @@ func (a *CSR) Clone() *CSR {
 }
 
 // Transpose returns aᵀ as a new CSR matrix.
-func (a *CSR) Transpose() *CSR {
+func (a *CSR) Transpose() *CSR { return a.TransposePool(nil) }
+
+// TransposePool is Transpose built on a par.Pool, a counting sort by
+// column over nnz-balanced row ranges: each worker counts its range's
+// entries per column, the counts are prefix-summed column by column in
+// worker order — so every column keeps ascending row order and the result
+// equals the serial one byte for byte at every pool size — and each worker
+// scatters its range through its own cursors. Costs one int per column
+// per worker.
+func (a *CSR) TransposePool(p *par.Pool) *CSR {
 	t := &CSR{
 		Rows:   a.Cols,
 		Cols:   a.Rows,
@@ -224,23 +236,35 @@ func (a *CSR) Transpose() *CSR {
 		ColIdx: make([]int32, a.NNZ()),
 		Val:    make([]float64, a.NNZ()),
 	}
-	for _, j := range a.ColIdx {
-		t.RowPtr[j+1]++
+	next := make([][]int, p.Chunks(a.Rows)) // per worker: counts, then write cursors
+	for w := range next {
+		next[w] = make([]int, a.Cols)
 	}
-	for i := 0; i < a.Cols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int, a.Cols)
-	copy(next, t.RowPtr[:a.Cols])
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			q := next[j]
-			t.ColIdx[q] = int32(i)
-			t.Val[q] = a.Val[p]
-			next[j]++
+	p.ForWeighted(a.Rows, a.RowPtr, func(w, lo, hi int) {
+		cnt := next[w]
+		for _, j := range a.ColIdx[a.RowPtr[lo]:a.RowPtr[hi]] {
+			cnt[j]++
+		}
+	})
+	pos := 0
+	for j := 0; j < a.Cols; j++ {
+		t.RowPtr[j] = pos
+		for _, nx := range next {
+			nx[j], pos = pos, pos+nx[j]
 		}
 	}
+	t.RowPtr[a.Cols] = pos
+	p.ForWeighted(a.Rows, a.RowPtr, func(w, lo, hi int) {
+		nx := next[w]
+		for i := lo; i < hi; i++ {
+			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+				j := a.ColIdx[q]
+				t.ColIdx[nx[j]] = int32(i)
+				t.Val[nx[j]] = a.Val[q]
+				nx[j]++
+			}
+		}
+	})
 	return t
 }
 
@@ -333,58 +357,32 @@ func (a *CSR) MulDenseIntoPool(p *par.Pool, x, out *matrix.Dense) {
 	}
 	p.ForWeighted(a.Rows, a.RowPtr, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
-			clear(orow)
-			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				matrix.Axpy(a.Val[q], x.Row(int(a.ColIdx[q])), orow)
-			}
+			a.mulRow(i, x, out.Row(i))
 		}
 	})
 }
 
-// MulDenseT computes aᵀ·x for a dense x (a.Rows rows), returning a new
-// a.Cols-by-x.Cols dense matrix. Single-threaded; see MulDenseTPool.
-func (a *CSR) MulDenseT(x *matrix.Dense) *matrix.Dense {
-	return a.MulDenseTPool(nil, x)
+// mulRow overwrites out with row i of a·x.
+func (a *CSR) mulRow(i int, x *matrix.Dense, out []float64) {
+	clear(out)
+	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+		matrix.Axpy(a.Val[q], x.Row(int(a.ColIdx[q])), out)
+	}
 }
 
-// MulDenseTPool is MulDenseT parallelized over a par.Pool. The transpose
-// product scatters into output rows indexed by column, so a row partition
-// of the input would conflict; instead each worker accumulates its
-// nnz-balanced input range into a private a.Cols×x.Cols accumulator and
-// the partials are merged in fixed tree order — conflict-free and
-// deterministic for a fixed pool size (different pool sizes differ only
-// by floating-point reassociation). Memory cost is one accumulator per
-// worker; a nil pool runs serially with no extra allocation.
-func (a *CSR) MulDenseTPool(p *par.Pool, x *matrix.Dense) *matrix.Dense {
-	if x.Rows != a.Rows {
-		panic(fmt.Sprintf("sparse: MulDenseT shape %dx%d^T * %dx%d", a.Rows, a.Cols, x.Rows, x.Cols))
+// MulDenseGramPool returns (a·x)ᵀ(a·x), the Gram matrix of the product,
+// without materializing a·x: each worker forms four rows of it at a time
+// and folds them into its x.Cols×x.Cols partial (matrix.GramRowsPool).
+// Rows are split by count, not nnz: folding a row costs x.Cols²/2
+// multiply-adds, forming it nnz(row)·x.Cols.
+func (a *CSR) MulDenseGramPool(p *par.Pool, x *matrix.Dense) *matrix.Dense {
+	if x.Rows != a.Cols {
+		panic(fmt.Sprintf("sparse: MulDenseGram shape %dx%d * %dx%d", a.Rows, a.Cols, x.Rows, x.Cols))
 	}
-	k := x.Cols
-	nc := p.Chunks(a.Rows)
-	if nc <= 1 {
-		out := matrix.NewDense(a.Cols, k)
-		for i := 0; i < a.Rows; i++ {
-			xrow := x.Row(i)
-			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				matrix.Axpy(a.Val[q], xrow, out.Row(int(a.ColIdx[q])))
-			}
-		}
-		return out
-	}
-	parts := make([][]float64, nc)
-	p.ForWeighted(a.Rows, a.RowPtr, func(w, lo, hi int) {
-		acc := make([]float64, a.Cols*k)
-		for i := lo; i < hi; i++ {
-			xrow := x.Row(i)
-			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				j := int(a.ColIdx[q]) * k
-				matrix.Axpy(a.Val[q], xrow, acc[j:j+k])
-			}
-		}
-		parts[w] = acc
+	return matrix.GramRowsPool(p, a.Rows, x.Cols, func(i int, buf []float64) []float64 {
+		a.mulRow(i, x, buf)
+		return buf
 	})
-	return &matrix.Dense{Rows: a.Cols, Cols: k, Data: p.TreeReduce(parts)}
 }
 
 // ToDense materializes a as a dense matrix (for tests and tiny graphs).

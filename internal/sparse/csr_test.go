@@ -145,10 +145,10 @@ func TestMulDenseTAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randomCSR(t, 8, 6, 0.35, rng)
 	x := matrix.GaussianDense(8, 3, rng)
-	got := a.MulDenseT(x)
+	got := a.Transpose().MulDense(x)
 	want := matrix.Mul(a.ToDense().T(), x)
 	if got.MaxAbsDiff(want) > 1e-12 {
-		t.Fatalf("MulDenseT mismatch: %v", got.MaxAbsDiff(want))
+		t.Fatalf("transpose product mismatch: %v", got.MaxAbsDiff(want))
 	}
 }
 

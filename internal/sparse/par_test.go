@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/nrp-embed/nrp/internal/matrix"
@@ -50,24 +51,103 @@ func TestMulDensePoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMulDenseTPoolMatchesSerial checks the accumulator-merged transpose
-// product agrees with the serial one to floating-point reassociation
-// tolerance, and is bit-identical across repeated runs at a fixed pool
-// size.
+// mulDenseT is the scatter form of aᵀ·x, serial: the reference the
+// row-partitioned product on the stored transpose is held to.
+func mulDenseT(a *CSR, x *matrix.Dense) *matrix.Dense {
+	out := matrix.NewDense(a.Cols, x.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			matrix.Axpy(a.Val[q], x.Row(i), out.Row(int(a.ColIdx[q])))
+		}
+	}
+	return out
+}
+
+// TestMulDenseTPoolMatchesSerial checks that aᵀ·x computed as a
+// row-partitioned product on the transpose equals the serial scatter
+// reference bit for bit at every pool size: the transpose keeps each
+// column's entries in ascending row order, which is the order the scatter
+// adds them in.
 func TestMulDenseTPoolMatchesSerial(t *testing.T) {
 	a := randCSR(t, 250, 180, 3500, 3)
 	x := matrix.GaussianDense(250, 13, rand.New(rand.NewSource(4)))
-	want := a.MulDenseT(x)
-	for _, workers := range []int{1, 2, 4, 7} {
+	want := mulDenseT(a, x)
+	for _, workers := range []int{1, 2, 3, 8} {
 		pool := par.New(workers)
-		got := a.MulDenseTPool(pool, x)
-		if d := got.MaxAbsDiff(want); d > 1e-12 {
-			t.Fatalf("workers=%d: max abs diff %g vs serial", workers, d)
+		got := a.TransposePool(pool).MulDensePool(pool, x)
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("workers=%d: shape %dx%d, want %dx%d", workers, got.Rows, got.Cols, want.Rows, want.Cols)
 		}
-		again := a.MulDenseTPool(pool, x)
-		for i, v := range got.Data {
-			if again.Data[i] != v {
-				t.Fatalf("workers=%d: repeated run differs at %d (%v vs %v)", workers, i, again.Data[i], v)
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("workers=%d: element %d = %v, want %v (must be bit-identical)", workers, i, got.Data[i], v)
+			}
+		}
+	}
+}
+
+// TestTransposePoolEqualsSerial checks the pooled transpose reproduces the
+// serial one exactly — row pointers, column order within every row, values
+// — for skewed, rectangular, single-row and empty matrices.
+func TestTransposePoolEqualsSerial(t *testing.T) {
+	for _, a := range []*CSR{
+		randCSR(t, 250, 180, 3500, 3), randCSR(t, 7, 400, 900, 5), randCSR(t, 1, 5, 3, 6),
+		{Rows: 0, Cols: 4, RowPtr: []int{0}}, {Rows: 3, Cols: 0, RowPtr: []int{0, 0, 0, 0}},
+	} {
+		want := a.Transpose()
+		if want.Rows != a.Cols || want.Cols != a.Rows || want.NNZ() != a.NNZ() {
+			t.Fatalf("transpose of %dx%d (%d entries) is %dx%d (%d)", a.Rows, a.Cols, a.NNZ(), want.Rows, want.Cols, want.NNZ())
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got := a.TransposePool(par.New(workers))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%dx%d workers=%d: pooled transpose differs from serial", a.Rows, a.Cols, workers)
+			}
+		}
+	}
+}
+
+// TestMulDenseGramPoolMatchesMaterialised holds the streamed Gram matrix
+// (a·x)ᵀ(a·x) to the materialised one on matrices with empty rows, every
+// row count modulo 4, wide and tall shapes and odd and even widths: within
+// 1e-12 relative at every pool size, exactly symmetric, and bit-identical
+// when repeated at a fixed pool size.
+func TestMulDenseGramPoolMatchesMaterialised(t *testing.T) {
+	for _, shape := range []struct{ rows, cols, nnz, width int }{
+		{64, 40, 300, 6}, {65, 90, 500, 7}, {66, 20, 150, 1}, {67, 67, 900, 12}, {3, 50, 40, 5}, {1, 9, 4, 2},
+	} {
+		full := randCSR(t, shape.rows, shape.cols, shape.nnz, int64(shape.rows))
+		var kept []Triple // every fifth row left empty, the first among them
+		for r := 0; r < full.Rows; r++ {
+			for q := full.RowPtr[r]; q < full.RowPtr[r+1] && r%5 != 0; q++ {
+				kept = append(kept, Triple{Row: int32(r), Col: full.ColIdx[q], Val: full.Val[q]})
+			}
+		}
+		a, err := FromTriples(shape.rows, shape.cols, kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := matrix.GaussianDense(shape.cols, shape.width, rand.New(rand.NewSource(8)))
+		want := matrix.GramPool(nil, a.MulDense(x))
+		scale := 0.0
+		for _, v := range want.Data {
+			scale = max(scale, abs(v))
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			pool := par.New(workers)
+			got := a.MulDenseGramPool(pool, x)
+			if d := got.MaxAbsDiff(want); d > 1e-12*scale {
+				t.Fatalf("%dx%d width %d workers=%d: differs from the materialised Gram matrix by %g (scale %g)",
+					shape.rows, shape.cols, shape.width, workers, d, scale)
+			}
+			again := a.MulDenseGramPool(pool, x)
+			for i, v := range got.Data {
+				if again.Data[i] != v {
+					t.Fatalf("workers=%d: repeated run differs at %d", workers, i)
+				}
+				if r, c := i/got.Cols, i%got.Cols; got.Data[c*got.Cols+r] != v {
+					t.Fatalf("workers=%d: asymmetric at (%d,%d)", workers, r, c)
+				}
 			}
 		}
 	}

@@ -27,7 +27,8 @@ func TestAtMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-// Property: MulDense and MulDenseT are adjoint: ⟨A·X, Y⟩ == ⟨X, Aᵀ·Y⟩.
+// Property: the products on a and on its transpose are adjoint:
+// ⟨A·X, Y⟩ == ⟨X, Aᵀ·Y⟩.
 func TestAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -36,7 +37,7 @@ func TestAdjointProperty(t *testing.T) {
 		x := randomCSR(t, c, k, 1.0, rng).ToDense()
 		y := randomCSR(t, r, k, 1.0, rng).ToDense()
 		ax := a.MulDense(x)
-		aty := a.MulDenseT(y)
+		aty := a.Transpose().MulDense(y)
 		lhs, rhs := 0.0, 0.0
 		for i := range ax.Data {
 			lhs += ax.Data[i] * y.Data[i]

@@ -52,10 +52,18 @@ type Options struct {
 	// Ctx, when non-nil, is checked between block iterations so a caller
 	// can abort a long factorization; the solver returns Ctx.Err().
 	Ctx context.Context
-	// Pool, when non-nil, parallelizes the sparse products, Gram matrix
-	// and orthonormalizations across its workers (nil = serial). Results
-	// are deterministic for a fixed pool size; different sizes differ only
-	// by floating-point reassociation in the reduction steps.
+	// At, when non-nil, is aᵀ in CSR form; the solvers compute every
+	// transpose product as a row-partitioned product on it. A caller that
+	// holds the transpose already (graph.Graph.RAdj for an adjacency matrix)
+	// passes it; nil builds it once per factorization.
+	At *sparse.CSR
+	// Pool, when non-nil, parallelizes the sparse products, Gram matrices
+	// and orthonormalizations across its workers (nil = serial). The sparse
+	// products A·X and Aᵀ·X are row-partitioned kernels, bit-identical for
+	// every pool size; the Gram matrices and the projection of a block on
+	// the basis are reduction kernels, bit-identical for a fixed pool size
+	// and different across sizes by floating-point reassociation — so the
+	// factors are too.
 	Pool *par.Pool
 	// Progress, when non-nil, is invoked after each block iteration with
 	// the number of iterations completed and the total planned.
@@ -109,6 +117,30 @@ func (o Options) iters(n int) int {
 // ‖A − U·diag(S)·Vᵀ‖₂ ≤ (1+ε)·σ_{k+1} with high probability for the
 // iteration counts used here.
 func BKSVD(a *sparse.CSR, opt Options) (*Result, error) {
+	return factorize(a, opt, true)
+}
+
+// SubspaceIteration computes an approximate rank-k SVD by randomized
+// simultaneous (power) iteration: Q ← orth((AAᵀ)^q A Π). It is cheaper per
+// iteration than BKSVD (the basis stays of width k) but needs more
+// iterations for the same accuracy — the trade-off the paper cites when
+// preferring BKSVD. Used by the FORA build and in ablation benchmarks.
+func SubspaceIteration(a *sparse.CSR, opt Options) (*Result, error) {
+	return factorize(a, opt, false)
+}
+
+// factorize runs the block power iteration both solvers share. With
+// krylov set every orthonormalized block joins the search space
+// K = [AΠ, (AAᵀ)AΠ, …, (AAᵀ)^q AΠ], Π ∈ R^{m×k}; without it only the last
+// block does.
+//
+// Memory: the basis (n×(q+1)k, krylov only) plus two product buffers
+// reused by every step: next (n×k) and tmp (m×k, a Gaussian Π's own
+// storage once Π is spent). Both products of a step are row-partitioned —
+// Aᵀ·X is at·X on the stored transpose — so nothing here grows with the
+// pool size except the k×k and (q+1)k×(q+1)k partials of the Gram and
+// projection reductions.
+func factorize(a *sparse.CSR, opt Options, krylov bool) (*Result, error) {
 	k := opt.Rank
 	if k <= 0 {
 		return nil, fmt.Errorf("svd: rank must be positive, got %d", k)
@@ -120,30 +152,45 @@ func BKSVD(a *sparse.CSR, opt Options) (*Result, error) {
 	if k > n || k > m {
 		return nil, fmt.Errorf("svd: rank %d exceeds matrix dimensions %dx%d", k, n, m)
 	}
-	q := opt.iters(max(n, m))
-	// Cap the Krylov block so the basis never exceeds the matrix dimension.
-	for q > 1 && (q+1)*k > n {
-		q--
+	pool, at := opt.Pool, opt.At
+	if at == nil {
+		at = a.TransposePool(pool)
+	} else if at.Rows != m || at.Cols != n || at.NNZ() != a.NNZ() {
+		return nil, fmt.Errorf("svd: Options.At is %dx%d with %d entries, want the transpose of %dx%d with %d", at.Rows, at.Cols, at.NNZ(), n, m, a.NNZ())
 	}
-
-	// Build the Krylov block K = [AΠ, (AAᵀ)AΠ, …, (AAᵀ)^q AΠ], Π ∈ R^{m×k}.
 	pi, err := opt.initBlock(m, k)
 	if err != nil {
 		return nil, err
 	}
-	pool := opt.Pool
+	q := opt.iters(max(n, m))
+	var basis *matrix.Basis
+	if krylov {
+		// Cap the Krylov block so the basis never exceeds the matrix dimension.
+		for q > 1 && (q+1)*k > n {
+			q--
+		}
+		basis = matrix.NewBasis(n, (q+1)*k)
+	}
 	// Each block is projected against the blocks before it and
-	// orthonormalized as it is produced, so the basis is orthonormal as a
-	// whole when the loop ends; powering an orthonormal block also tames
-	// the geometric growth of the leading direction.
-	basis := matrix.NewBasis(n, (q+1)*k)
-	cur := matrix.OrthonormalizePool(pool, basis, a.MulDensePool(pool, pi)) // n×k
+	// orthonormalized in place as it is produced, so the basis is
+	// orthonormal as a whole when the loop ends; powering an orthonormal
+	// block also tames the geometric growth of the leading direction.
+	next := matrix.NewDense(n, k)
+	a.MulDenseIntoPool(pool, pi, next)
+	tmp := pi
+	if opt.Init != nil { // the caller's block is not ours to overwrite
+		tmp = matrix.NewDense(m, k)
+	}
+	cur := matrix.OrthonormalizePool(pool, basis, next) // n×k, or narrower
 	itersRun := 0
 	for i := 0; i < q; i++ {
 		if err := opt.checkCtx(); err != nil {
 			return nil, err
 		}
-		next := a.MulDensePool(pool, a.MulDenseTPool(pool, cur)) // (A Aᵀ) cur
+		// Where dependent columns were dropped the buffers narrow with the block.
+		tmp, next = front(tmp, cur.Cols), front(next, cur.Cols)
+		at.MulDenseIntoPool(pool, cur, tmp)
+		a.MulDenseIntoPool(pool, tmp, next) // (A Aᵀ) cur; cur may alias next, and is spent
 		cur = matrix.OrthonormalizePool(pool, basis, next)
 		itersRun++
 		opt.step(itersRun, q)
@@ -151,42 +198,38 @@ func BKSVD(a *sparse.CSR, opt Options) (*Result, error) {
 	if err := opt.checkCtx(); err != nil {
 		return nil, err
 	}
-	return rayleighRitz(a, pool, basis.Dense(), k, itersRun), nil
+	if krylov {
+		cur = basis.Dense()
+	}
+	return rayleighRitz(at, pool, cur, k, itersRun), nil
+}
+
+// front returns the rows×cols matrix over the front of d's storage.
+func front(d *matrix.Dense, cols int) *matrix.Dense {
+	return &matrix.Dense{Rows: d.Rows, Cols: cols, Data: d.Data[:d.Rows*cols]}
 }
 
 // rayleighRitz extracts the rank-k factors from an orthonormal basis Q of
-// the search space: M = QᵀAAᵀQ = WᵀW with W = AᵀQ, its top-k
-// eigenpairs (λ, z) give σ = √λ, U = Q·z and V = AᵀUΣ⁻¹ = W·z·Σ⁻¹.
-func rayleighRitz(a *sparse.CSR, pool *par.Pool, qMat *matrix.Dense, k, itersRun int) *Result {
-	w := a.MulDenseTPool(pool, qMat) // m × B
-	vals, vecs := matrix.TopKEigen(matrix.GramPool(pool, w), k)
+// the search space: the top-k eigenpairs (λ, z) of M = QᵀAAᵀQ = WᵀW,
+// W = AᵀQ, give σ = √λ, U = Q·z and V = AᵀUΣ⁻¹. W is as large as Q and is
+// never held: M is accumulated from four of its rows at a time and V is
+// one k-wide product, both over at = Aᵀ.
+func rayleighRitz(at *sparse.CSR, pool *par.Pool, qMat *matrix.Dense, k, itersRun int) *Result {
+	vals, vecs := matrix.TopKEigen(at.MulDenseGramPool(pool, qMat), k)
 	s := make([]float64, len(vals))
+	inv := make([]float64, len(vals))
 	for i, lambda := range vals {
 		if lambda < 0 {
 			lambda = 0
 		}
 		s[i] = math.Sqrt(lambda)
-	}
-	return &Result{
-		U:        matrix.MulPool(pool, qMat, vecs), // n × k
-		S:        s,
-		V:        scaledV(pool, w, vecs, s),
-		ItersRun: itersRun,
-	}
-}
-
-// scaledV computes V = W·vecs·Σ⁻¹, zeroing the inverse for numerically
-// vanishing singular values; the row loop parallelizes over the pool.
-func scaledV(pool *par.Pool, w, vecs *matrix.Dense, s []float64) *matrix.Dense {
-	v := matrix.MulPool(pool, w, vecs)
-	inv := make([]float64, len(s))
-	for j, sv := range s {
-		if sv > 1e-12 {
-			inv[j] = 1 / sv
-		} else {
-			inv[j] = 1 // leave the (zero) column untouched
+		inv[i] = 1 // a numerically vanishing σ leaves its (zero) column of V as it is
+		if s[i] > 1e-12 {
+			inv[i] = 1 / s[i]
 		}
 	}
+	u := matrix.MulPool(pool, qMat, vecs) // n × k
+	v := at.MulDensePool(pool, u)         // m × k
 	pool.For(v.Rows, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := v.Row(i)
@@ -195,46 +238,7 @@ func scaledV(pool *par.Pool, w, vecs *matrix.Dense, s []float64) *matrix.Dense {
 			}
 		}
 	})
-	return v
-}
-
-// SubspaceIteration computes an approximate rank-k SVD by randomized
-// simultaneous (power) iteration: Q ← orth((AAᵀ)^q A Π). It is cheaper per
-// iteration than BKSVD (the basis stays of width k) but needs more
-// iterations for the same accuracy — the trade-off the paper cites when
-// preferring BKSVD. Used in ablation benchmarks.
-func SubspaceIteration(a *sparse.CSR, opt Options) (*Result, error) {
-	k := opt.Rank
-	if k <= 0 {
-		return nil, fmt.Errorf("svd: rank must be positive, got %d", k)
-	}
-	if opt.Rng == nil {
-		return nil, fmt.Errorf("svd: Options.Rng is required")
-	}
-	n, m := a.Rows, a.Cols
-	if k > n || k > m {
-		return nil, fmt.Errorf("svd: rank %d exceeds matrix dimensions %dx%d", k, n, m)
-	}
-	q := opt.iters(max(n, m))
-	pi, err := opt.initBlock(m, k)
-	if err != nil {
-		return nil, err
-	}
-	pool := opt.Pool
-	cur := matrix.OrthonormalizePool(pool, nil, a.MulDensePool(pool, pi))
-	itersRun := 0
-	for i := 0; i < q; i++ {
-		if err := opt.checkCtx(); err != nil {
-			return nil, err
-		}
-		cur = matrix.OrthonormalizePool(pool, nil, a.MulDensePool(pool, a.MulDenseTPool(pool, cur)))
-		itersRun++
-		opt.step(itersRun, q)
-	}
-	if err := opt.checkCtx(); err != nil {
-		return nil, err
-	}
-	return rayleighRitz(a, pool, cur, k, itersRun), nil
+	return &Result{U: u, S: s, V: v, ItersRun: itersRun}
 }
 
 // initBlock resolves the starting block: the caller's warm-start block

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/nrp-embed/nrp/internal/matrix"
+	"github.com/nrp-embed/nrp/internal/par"
 	"github.com/nrp-embed/nrp/internal/sparse"
 )
 
@@ -37,6 +38,31 @@ func lowRankSparse(t *testing.T, n, m int, s []float64, rng *rand.Rand) *sparse.
 	return a
 }
 
+// checkRightFactor holds V to its definition V = Aᵀ·U·Σ⁻¹, with the
+// transpose product done the other way round (scattering rows of U along
+// the rows of a) than the solver does it: within 1e-10 per entry, every
+// fixture here having singular values of order one or more.
+func checkRightFactor(t *testing.T, a *sparse.CSR, res *Result) {
+	t.Helper()
+	want := matrix.NewDense(a.Cols, len(res.S))
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			matrix.Axpy(a.Val[p], res.U.Row(i), want.Row(int(a.ColIdx[p])))
+		}
+	}
+	for j := 0; j < want.Rows; j++ {
+		for c, sigma := range res.S {
+			want.Row(j)[c] /= sigma
+		}
+	}
+	if res.V.Rows != want.Rows || res.V.Cols != want.Cols {
+		t.Fatalf("V is %dx%d, want %dx%d", res.V.Rows, res.V.Cols, want.Rows, want.Cols)
+	}
+	if d := res.V.MaxAbsDiff(want); !(d <= 1e-10) {
+		t.Fatalf("V differs from AᵀUΣ⁻¹ by %g", d)
+	}
+}
+
 func TestBKSVDRecoversSingularValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trueS := []float64{10, 6, 3, 1}
@@ -50,6 +76,7 @@ func TestBKSVDRecoversSingularValues(t *testing.T) {
 			t.Fatalf("singular value %d: got %v want %v", i, res.S[i], want)
 		}
 	}
+	checkRightFactor(t, a, res)
 }
 
 func TestBKSVDReconstructionError(t *testing.T) {
@@ -125,6 +152,7 @@ func TestSubspaceIterationRecoversSingularValues(t *testing.T) {
 			t.Fatalf("sigma_%d: got %v want %v", i, res.S[i], want)
 		}
 	}
+	checkRightFactor(t, a, res)
 }
 
 func TestBKSVDErrors(t *testing.T) {
@@ -285,25 +313,89 @@ func TestBKSVDWarmStart(t *testing.T) {
 	}
 }
 
-// TestBKSVDKrylovSpaceExhausted factorizes a rank-2 matrix at rank 2 with
-// more iterations than its Krylov space has dimensions: every block after
-// the first is dependent on the basis and must be dropped, not
-// orthonormalized into noise.
+// TestBKSVDKrylovSpaceExhausted factorizes rank-2 and rank-3 matrices at
+// rank 2 with more iterations than their Krylov spaces have dimensions:
+// every block after the first is wholly or (rank 3: one column survives
+// the second step) partly dependent on the basis, and the dependent
+// columns must be dropped, not orthonormalized into noise — with the
+// product buffers the steps share narrowing along with the block.
 func TestBKSVDKrylovSpaceExhausted(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	trueS := []float64{5, 2}
-	a := lowRankSparse(t, 30, 25, trueS, rng)
-	const q = 4
-	res, err := BKSVD(a, Options{Rank: 2, Iters: q, Rng: rng})
-	if err != nil {
-		t.Fatal(err)
+	for _, trueS := range [][]float64{{5, 2}, {5, 2, 1}} {
+		rng := rand.New(rand.NewSource(47))
+		a := lowRankSparse(t, 30, 25, trueS, rng)
+		const q = 4
+		for _, pool := range []*par.Pool{nil, par.New(3)} {
+			res, err := BKSVD(a, Options{Rank: 2, Iters: q, Rng: rand.New(rand.NewSource(3)), Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ItersRun > q {
+				t.Fatalf("ItersRun = %d, want <= %d", res.ItersRun, q)
+			}
+			for i, got := range res.S {
+				if math.Abs(got-trueS[i]) > 1e-8*trueS[i] {
+					t.Fatalf("rank %d: singular value %d: got %v want %v", len(trueS), i, got, trueS[i])
+				}
+			}
+			checkRightFactor(t, a, res)
+		}
 	}
-	if res.ItersRun > q {
-		t.Fatalf("ItersRun = %d, want <= %d", res.ItersRun, q)
+}
+
+// materialisedRayleighRitz is rayleighRitz as it ran while W = AᵀQ was
+// still held in full, on serial dense kernels: the reference for the
+// streamed one.
+func materialisedRayleighRitz(a *sparse.CSR, qMat *matrix.Dense, k int) *Result {
+	w := a.Transpose().MulDense(qMat)
+	vals, vecs := matrix.TopKEigen(matrix.MulAtB(w, w), k)
+	res := &Result{U: matrix.Mul(qMat, vecs), V: matrix.Mul(w, vecs)}
+	for j, lambda := range vals {
+		sigma := math.Sqrt(math.Max(lambda, 0))
+		res.S = append(res.S, sigma)
+		if sigma > 1e-12 {
+			for i := 0; i < res.V.Rows; i++ {
+				res.V.Row(i)[j] /= sigma
+			}
+		}
 	}
-	for i, want := range trueS {
-		if math.Abs(res.S[i]-want) > 1e-8*want {
-			t.Fatalf("singular value %d: got %v want %v", i, res.S[i], want)
+	return res
+}
+
+// TestRayleighRitzStreamedMatchesMaterialised compares V = Aᵀ·U·Σ⁻¹ and a
+// Gram matrix accumulated four rows of W at a time against W·z·Σ⁻¹ and
+// WᵀW from a materialised W, on search spaces wider than the matrix's
+// rank — so some singular values are zero, their columns of V are noise
+// over noise in both forms, and only finiteness is asked of them.
+func TestRayleighRitzStreamedMatchesMaterialised(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for name, a := range map[string]*sparse.CSR{
+		"rank 3 of 30": lowRankSparse(t, 41, 30, []float64{7, 3, 1}, rng),
+		"full rank":    lowRankSparse(t, 38, 45, []float64{9, 8, 6, 5, 4, 2.5, 2, 1, 0.5}, rng),
+	} {
+		const k, width = 5, 9
+		qMat := matrix.OrthonormalizePool(nil, nil, matrix.GaussianDense(a.Rows, width, rng))
+		want := materialisedRayleighRitz(a, qMat, k)
+		for _, pool := range []*par.Pool{nil, par.New(3)} {
+			got := rayleighRitz(a.Transpose(), pool, qMat, k, 0)
+			for j, sigma := range want.S {
+				// Compared as eigenvalues σ²: the square root of a zero one
+				// turns 1e-16 of rounding into 1e-8.
+				if math.Abs(got.S[j]*got.S[j]-sigma*sigma) > 1e-12*want.S[0]*want.S[0] {
+					t.Fatalf("%s: singular value %d: streamed %v, materialised %v", name, j, got.S[j], sigma)
+				}
+				resolved := sigma > 1e-6*want.S[0] // else a null direction, arbitrary in U too
+				for i := 0; i < got.U.Rows; i++ {
+					if g, w := got.U.At(i, j), want.U.At(i, j); resolved && math.Abs(g-w) > 1e-10 {
+						t.Fatalf("%s: U(%d,%d) = %v, materialised %v", name, i, j, g, w)
+					}
+				}
+				for i := 0; i < got.V.Rows; i++ {
+					g, w := got.V.At(i, j), want.V.At(i, j)
+					if math.IsNaN(g) || math.IsInf(g, 0) || (resolved && math.Abs(g-w) > 1e-10) {
+						t.Fatalf("%s: V(%d,%d) = %v, materialised %v (σ = %v)", name, i, j, g, w, sigma)
+					}
+				}
+			}
 		}
 	}
 }
