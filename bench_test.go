@@ -1,8 +1,10 @@
 package nrp
 
 // This file regenerates every table and figure of the paper's evaluation
-// section as Go benchmarks (DESIGN.md §4 maps each to its experiment), plus
-// the design-choice ablations of DESIGN.md §5 and micro-benchmarks of the
+// section as Go benchmarks (each named after its table or figure and
+// running the internal/experiments id of the same name), plus the
+// design-choice ablations (ExactB1, the factorizer, the weight targets)
+// and micro-benchmarks of the
 // core kernels. Figure benchmarks run the experiment harness at a reduced
 // "bench" scale (documented per benchmark) and print the resulting rows —
 // the series shapes, not the absolute numbers, are the reproduction target.
@@ -173,7 +175,7 @@ func BenchmarkFig11ParameterRunningTime(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5) -------------------------------------------
+// --- Ablations of the stated deviations from the paper -----------------
 
 // ablationGraph is the shared workload for the design-choice ablations:
 // wiki-sim at bench scale with a 30% link-prediction split.

@@ -1,5 +1,7 @@
 // Command nrpexp regenerates the paper's tables and figures on the
-// synthetic stand-in datasets (see DESIGN.md §3-4 and EXPERIMENTS.md).
+// synthetic stand-in datasets: stochastic block models with the paper's
+// n and m for the two small graphs and scaled-down ones for the rest
+// (internal/experiments.Datasets lists both sizes).
 //
 // Usage:
 //

@@ -1,6 +1,8 @@
 package nrp
 
 import (
+	"go/scanner"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,9 +16,12 @@ import (
 // slugs to it (GitHub's anchor rule: lowercase, drop everything that is
 // not a letter, digit, space or hyphen, then spaces to hyphens). The
 // docs under docs/ cross-link each other and the README heavily; this
-// keeps a rename or a heading edit from silently breaking them.
+// keeps a rename or a heading edit from silently breaking them. Go
+// comments are held to the same rule: every *.md name a comment cites
+// must exist, relative to the Go file's directory or to the repository
+// root.
 func TestDocsLinks(t *testing.T) {
-	var files []string
+	var files, goFiles []string
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -28,8 +33,11 @@ func TestDocsLinks(t *testing.T) {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") {
+		switch ext := filepath.Ext(path); {
+		case strings.EqualFold(ext, ".md"):
 			files = append(files, path)
+		case ext == ".go":
+			goFiles = append(goFiles, path)
 		}
 		return nil
 	})
@@ -38,6 +46,13 @@ func TestDocsLinks(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Fatal("no markdown files found")
+	}
+	for _, f := range goFiles {
+		for _, ref := range commentDocRefs(t, f) {
+			if !fileExists(filepath.Join(filepath.Dir(f), ref)) && !fileExists(ref) {
+				t.Errorf("%s: comment cites %s, which does not exist", f, ref)
+			}
+		}
 	}
 
 	anchors := make(map[string]map[string]bool, len(files))
@@ -81,6 +96,35 @@ func TestDocsLinks(t *testing.T) {
 			}
 		}
 	}
+}
+
+var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// commentDocRefs returns every *.md name cited in a comment of a Go file.
+func commentDocRefs(t *testing.T, path string) []string {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var s scanner.Scanner
+	s.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var refs []string
+	for {
+		_, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return refs
+		}
+		if tok == token.COMMENT {
+			refs = append(refs, mdRef.FindAllString(lit, -1)...)
+		}
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // headingAnchors returns the set of GitHub anchor slugs for a markdown

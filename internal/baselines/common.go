@@ -8,7 +8,8 @@
 //     on a shared skip-gram-with-negative-sampling (SGNS) trainer.
 //
 // Deep-neural baselines from the paper (DNGR, GraphGAN, …) are intentionally
-// out of scope; see DESIGN.md §3.
+// out of scope: they need a neural-network training stack, and this module
+// is standard library only.
 package baselines
 
 import (

@@ -64,9 +64,9 @@ func LearnWeightsCtx(ctx context.Context, g *graph.Graph, emb *Embedding, opt Op
 
 // LearnWeightsWithTargets runs the coordinate descent against custom
 // per-node strength targets instead of the in-/out-degrees of Eq. (5).
-// This exists for the weight-target ablation (DESIGN.md §5.4): passing
-// uniform targets isolates how much of NRP's gain comes from targeting
-// degrees specifically.
+// This exists for the weight-target ablation
+// (BenchmarkAblationWeightTargets): passing uniform targets isolates how
+// much of NRP's gain comes from targeting degrees specifically.
 func LearnWeightsWithTargets(emb *Embedding, din, dout []float64, opt Options) (fw, bw []float64, err error) {
 	return learnWeights(emb, din, dout, opt, newTracker(context.Background(), RunConfig{}))
 }
@@ -110,6 +110,7 @@ func learnWeights(emb *Embedding, din, dout []float64, opt Options, t *tracker) 
 			break
 		}
 	}
+	t.stats.DegreeFit = state.degreeFit()
 	stop(epochs)
 	return state.fw, state.bw, nil
 }

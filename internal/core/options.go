@@ -31,11 +31,12 @@ type Options struct {
 	KrylovIters int
 	// ExactB1 replaces the paper's arithmetic–geometric-mean approximation
 	// of the b₁ term (Eq. 12–14) with its exact O(k′²) evaluation via Λ.
-	// Off by default to match the paper; see DESIGN.md ablation 1.
+	// Off by default to match the paper; BenchmarkAblationExactB1 measures
+	// what it changes.
 	ExactB1 bool
 	// SubspaceIteration swaps the BKSVD factorizer of Algorithm 1 for
 	// plain randomized subspace iteration. Off by default to match the
-	// paper; see DESIGN.md ablation 2.
+	// paper; BenchmarkAblationFactorizer measures what it changes.
 	SubspaceIteration bool
 	// Seed drives all randomness (BKSVD projections, update order).
 	Seed int64

@@ -80,6 +80,9 @@ type Stats struct {
 	// across both coordinate-descent passes; a decaying sequence indicates
 	// convergence.
 	ReweightResiduals []float64
+	// DegreeFit is how closely the learned strengths meet the degree
+	// targets of Eq. (5) after the last reweighting pass.
+	DegreeFit DegreeFit
 	// Threads is the worker count the run's parallel engine used
 	// (WithThreads, default GOMAXPROCS).
 	Threads int
@@ -96,7 +99,7 @@ func (s *Stats) Render(w io.Writer) error {
 	rows := []row{
 		{"factorize", s.Factorize, fmt.Sprintf("krylov_iters=%d achieved_rank=%d", s.KrylovIters, s.AchievedRank)},
 		{"ppr", s.PPR, ""},
-		{"reweight", s.Reweight, residualNote(s.ReweightResiduals)},
+		{"reweight", s.Reweight, residualNote(s.ReweightResiduals) + s.DegreeFit.note()},
 		{"attributes", s.Attributes, ""},
 	}
 	for _, r := range rows {
@@ -121,6 +124,22 @@ func residualNote(res []float64) string {
 		return ""
 	}
 	return fmt.Sprintf("residual %.3g → %.3g", res[0], res[len(res)-1])
+}
+
+// DegreeFit holds the p10, p50 and p90 over nodes of learned strength
+// divided by its degree target, per side: In for Σ_u →w_u·(X_uY_vᵀ)·←w_v
+// against d_in(v), Out for the mirror against d_out(u). Nodes with a zero
+// target are skipped. 1 is a perfect fit.
+type DegreeFit struct {
+	In, Out [3]float64
+}
+
+func (f DegreeFit) note() string {
+	if f == (DegreeFit{}) {
+		return ""
+	}
+	return fmt.Sprintf("  fit p10/50/90 in=%.2f/%.2f/%.2f out=%.2f/%.2f/%.2f",
+		f.In[0], f.In[1], f.In[2], f.Out[0], f.Out[1], f.Out[2])
 }
 
 // RunConfig carries the execution knobs of a pipeline run, separate from

@@ -52,8 +52,8 @@ func (d Dataset) Gen(scale float64) (*graph.Graph, error) {
 }
 
 // Datasets mirrors the paper's Table 3. The two small graphs match the
-// paper's n and m exactly; larger ones are scaled down (factors recorded in
-// EXPERIMENTS.md) so the full suite runs on one core.
+// paper's n and m exactly; larger ones are scaled down (PaperN and PaperM
+// beside N and M give the factor) so the full suite runs on one core.
 var Datasets = []Dataset{
 	{Name: "wiki-sim", PaperName: "Wiki", Directed: true, N: 4780, M: 184810, PaperN: "4.78K", PaperM: "184.81K", Labels: 40, Seed: 101},
 	{Name: "blogcatalog-sim", PaperName: "BlogCatalog", Directed: false, N: 10310, M: 333980, PaperN: "10.31K", PaperM: "333.98K", Labels: 39, Seed: 102},

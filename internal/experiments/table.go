@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section on synthetic stand-ins for the original datasets (see
-// DESIGN.md §3 for the substitution rationale and EXPERIMENTS.md for the
-// paper-vs-measured record). Each experiment is registered by id
+// evaluation section on synthetic stand-ins for the original datasets:
+// seeded stochastic block models whose planted communities are the labels,
+// at the originals' n and m or scaled down (Datasets). Each experiment is
+// registered by id
 // ("table1", "fig4", …) and returns plain-text tables.
 package experiments
 

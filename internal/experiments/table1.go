@@ -8,8 +8,10 @@ import (
 	"github.com/nrp-embed/nrp/internal/ppr"
 )
 
-// Fig1Graph builds the paper's 9-node example graph (edge set recovered
-// from Table 1; see DESIGN.md §2).
+// Fig1Graph builds the paper's 9-node example graph: v1–v5 joined by
+// every edge but (v1, v5) and (v2, v4), then the chain v5–v6–v7–v8–v9.
+// The edge set is recovered from Table 1, whose v2, v4 and v9 rows it
+// reproduces to the printed three decimals.
 func Fig1Graph() (*graph.Graph, error) {
 	raw := [][2]int32{
 		{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4},
@@ -60,7 +62,7 @@ func runTable1(cfg Config) ([]*Table, error) {
 		Header: []string{"note"},
 	}
 	note.AddRow("rows v2, v4, v9 match the paper to its printed 3 decimals")
-	note.AddRow("the paper's v7 row is internally inconsistent (see DESIGN.md §2)")
+	note.AddRow("the paper's v7 row does not match PPR on the graph the other three rows match")
 	return []*Table{t, note}, nil
 }
 
@@ -71,7 +73,8 @@ func runExample1(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	// Example 1 uses k′ = 2; an exact rank-2 subspace cannot reproduce the
-	// paper's illustrated chain-side values (DESIGN.md §2), so the factors
+	// paper's illustrated chain-side values (σ₃…σ₅ ≈ 1.6 are not negligible
+	// and the rank-2 subspace concentrates on the v1–v5 clique), so the factors
 	// are reported at k′ = 2 and the headline pair scores also at k′ = 4.
 	opt := core.DefaultOptions()
 	opt.Dim = 4

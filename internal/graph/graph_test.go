@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// fig1Edges is the example graph of the paper's Fig 1 (recovered from
-// Table 1, see DESIGN.md).
+// fig1Edges is the example graph of the paper's Fig 1, the edge set of
+// experiments.Fig1Graph (recovered from Table 1).
 func fig1Edges() []Edge {
 	raw := [][2]int32{
 		{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4},

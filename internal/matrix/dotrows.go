@@ -23,3 +23,18 @@ func DotRows4(x, panel []float64) (s0, s1, s2, s3 float64) {
 	}
 	return s0, s1, s2, s3
 }
+
+// Axpy4 computes y += a0·x0 + a1·x1 + a2·x2 + a3·x3 in one pass over y.
+// Each element is summed left to right, y[j] + a0·x0[j] + … + a3·x3[j], so
+// the result is bit-identical to Axpy(a0, x0, y) … Axpy(a3, x3, y) in that
+// order, while y is loaded and stored once instead of four times.
+func Axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	n := len(y)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic("matrix: Axpy4 length mismatch")
+	}
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	for j := range y {
+		y[j] = y[j] + a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
+	}
+}

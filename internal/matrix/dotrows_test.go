@@ -110,3 +110,37 @@ func BenchmarkDotRows(b *testing.B) {
 		}
 	}
 }
+
+// TestAxpy4MatchesAxpy pins Axpy4 to four successive Axpy calls with ==
+// on inputs whose partial sums depend on the summation order.
+func TestAxpy4MatchesAxpy(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for name, next := range dotRowsInputs(rng) {
+		for d := 0; d <= 40; d++ {
+			var a [4]float64
+			var x [4][]float64
+			for i := range x {
+				a[i] = next()
+				x[i] = make([]float64, d)
+				for j := range x[i] {
+					x[i][j] = next()
+				}
+			}
+			got, want := make([]float64, d), make([]float64, d)
+			for j := range got {
+				got[j] = next()
+			}
+			copy(want, got)
+			Axpy4(a[0], a[1], a[2], a[3], x[0], x[1], x[2], x[3], got)
+			for i := range x {
+				Axpy(a[i], x[i], want)
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) &&
+					!(math.IsNaN(got[j]) && math.IsNaN(want[j])) {
+					t.Fatalf("%s d=%d: element %d is %v, four Axpy give %v", name, d, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}

@@ -7,8 +7,8 @@ import (
 	"github.com/nrp-embed/nrp/internal/graph"
 )
 
-// fig1 builds the paper's Fig-1 example graph (see DESIGN.md for the
-// recovered edge set).
+// fig1 builds the paper's Fig-1 example graph, the edge set of
+// experiments.Fig1Graph.
 func fig1(t testing.TB) *graph.Graph {
 	t.Helper()
 	raw := [][2]int32{
@@ -28,8 +28,8 @@ func fig1(t testing.TB) *graph.Graph {
 
 // TestTable1 reproduces the paper's Table 1 (α = 0.15) for the three rows
 // that are internally consistent in the paper (v2, v4, v9); values are
-// printed there to three decimals. The paper's v7 row is inconsistent with
-// its own graph (see DESIGN.md) and is excluded.
+// printed there to three decimals. The paper's v7 row does not match PPR
+// on the graph the other three rows match, and is excluded.
 func TestTable1(t *testing.T) {
 	g := fig1(t)
 	pi, err := Exact(g, 0.15, 300)
