@@ -175,25 +175,13 @@ func (q *Basis) project(p *par.Pool, w *Dense) {
 // multiply-adds share four loads of b and two load/store pairs of S.
 func accumQtB4(s, q0, q1, q2, q3, b0, b1, b2, b3 []float64) {
 	c := len(b0)
-	b1, b2, b3 = b1[:c], b2[:c], b3[:c]
-	q1, q2, q3 = q1[:len(q0)], q2[:len(q0)], q3[:len(q0)]
-	i := 0
-	for ; i+2 <= len(q0); i += 2 {
-		x0, x1, x2, x3 := q0[i], q1[i], q2[i], q3[i]
-		y0, y1, y2, y3 := q0[i+1], q1[i+1], q2[i+1], q3[i+1]
-		sx := s[i*c : (i+1)*c]
-		sy := s[(i+1)*c : (i+2)*c][:c]
-		for j := range sx {
-			v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
-			sx[j] += x0*v0 + x1*v1 + x2*v2 + x3*v3
-			sy[j] += y0*v0 + y1*v1 + y2*v2 + y3*v3
-		}
-	}
-	if i < len(q0) {
+	addMul2x4(s, q0, q1, q2, q3, b0, b1, b2, b3)
+	if i := len(q0) - 1; i%2 == 0 { // odd column count: the last one alone
+		b1, b2, b3 = b1[:c], b2[:c], b3[:c]
 		x0, x1, x2, x3 := q0[i], q1[i], q2[i], q3[i]
 		sx := s[i*c : (i+1)*c]
 		for j := range sx {
-			sx[j] += x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+			sx[j] += float64(x0*b0[j]) + float64(x1*b1[j]) + float64(x2*b2[j]) + float64(x3*b3[j])
 		}
 	}
 }
@@ -203,31 +191,17 @@ func accumQtB4(s, q0, q1, q2, q3, b0, b1, b2, b3 []float64) {
 // pairs of b.
 func subQS4(s, q0, q1, q2, q3, b0, b1, b2, b3 []float64) {
 	c := len(b0)
-	b1, b2, b3 = b1[:c], b2[:c], b3[:c]
-	q1, q2, q3 = q1[:len(q0)], q2[:len(q0)], q3[:len(q0)]
-	i := 0
-	for ; i+2 <= len(q0); i += 2 {
+	subMul4x2(b0, b1, b2, b3, q0, q1, q2, q3, s)
+	if i := len(q0) - 1; i%2 == 0 { // odd column count: the last one alone
+		b1, b2, b3 = b1[:c], b2[:c], b3[:c]
 		x0, x1, x2, x3 := q0[i], q1[i], q2[i], q3[i]
-		y0, y1, y2, y3 := q0[i+1], q1[i+1], q2[i+1], q3[i+1]
-		sx := s[i*c : (i+1)*c][:c]
-		sy := s[(i+1)*c : (i+2)*c][:c]
-		for j := range b0 {
-			u, v := sx[j], sy[j]
-			b0[j] -= x0*u + y0*v
-			b1[j] -= x1*u + y1*v
-			b2[j] -= x2*u + y2*v
-			b3[j] -= x3*u + y3*v
-		}
-	}
-	if i < len(q0) {
-		x0, x1, x2, x3 := q0[i], q1[i], q2[i], q3[i]
-		sx := s[i*c : (i+1)*c][:c]
+		sx := s[i*c : (i+1)*c]
 		for j := range b0 {
 			u := sx[j]
-			b0[j] -= x0 * u
-			b1[j] -= x1 * u
-			b2[j] -= x2 * u
-			b3[j] -= x3 * u
+			b0[j] -= float64(x0 * u)
+			b1[j] -= float64(x1 * u)
+			b2[j] -= float64(x2 * u)
+			b3[j] -= float64(x3 * u)
 		}
 	}
 }
@@ -267,9 +241,22 @@ func cholQR(p *par.Pool, w *Dense, orig2 []float64) bool {
 		}
 	}
 	// Row-wise forward substitution x·R = w, in axpy form so the updates
-	// of one step are independent.
+	// of one step are independent, four rows at a time so they share the
+	// loads of R.
 	p.For(w.Rows, func(_, lo, hi int) {
-		for n := lo; n < hi; n++ {
+		n := lo
+		for ; n+4 <= hi; n += 4 {
+			y0, y1, y2, y3 := w.Row(n), w.Row(n+1), w.Row(n+2), w.Row(n+3)
+			for i, f := range inv {
+				y0[i] *= f
+				y1[i] *= f
+				y2[i] *= f
+				y3[i] *= f
+				a := [4]float64{-y0[i], -y1[i], -y2[i], -y3[i]}
+				axpy4Rows(&a, r[i*c+i+1:(i+1)*c], y0[i+1:], y1[i+1:], y2[i+1:], y3[i+1:])
+			}
+		}
+		for ; n < hi; n++ {
 			row := w.Row(n)
 			for i := range row {
 				row[i] *= inv[i]

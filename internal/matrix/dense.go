@@ -125,10 +125,7 @@ func Mul(a, b *Dense) *Dense {
 			if av == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			Axpy(av, b.Row(k), orow)
 		}
 	}
 	return out
@@ -234,13 +231,15 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += a*x for equal-length vectors.
+// Axpy computes y += a*x for equal-length vectors. The explicit
+// conversion rounds each product on its own, so no architecture fuses it
+// into the add and Axpy agrees bit for bit with Axpy4 and its AVX body.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("matrix: axpy length mismatch") // constant string: keeps Axpy inlinable
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 

@@ -44,15 +44,25 @@ func MulPool(p *par.Pool, a, b *Dense) *Dense {
 			for i := lo; i < hi; i++ {
 				arow := a.Row(i)
 				orow := out.Row(i)
+				// Four nonzero terms per pass over orow: Axpy4 adds them in
+				// order, as four Axpy calls do, and a zero is skipped, as Mul
+				// skips it.
+				var ks [4]int
+				n := 0
 				for k := k0; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
+					if arow[k] == 0 {
 						continue
 					}
-					brow := b.Row(k)
-					for j, bv := range brow {
-						orow[j] += av * bv
+					ks[n] = k
+					n++
+					if n == 4 {
+						Axpy4(arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
+							b.Row(ks[0]), b.Row(ks[1]), b.Row(ks[2]), b.Row(ks[3]), orow)
+						n = 0
 					}
+				}
+				for _, k := range ks[:n] {
+					Axpy(arow[k], b.Row(k), orow)
 				}
 			}
 		}
@@ -158,26 +168,41 @@ func GramRowsPool(p *par.Pool, n, k int, row func(r int, buf []float64) []float6
 // accumGram4 adds the upper triangle of the Gram matrix of four rows to
 // the k×k matrix g: g[i][j] += Σ_t x_t[i]·x_t[j] for j ≥ i, two rows of g
 // per sweep over j so eight multiply-adds share four loads of x and two
-// load/store pairs of g (the shape of accumQtB4).
+// load/store pairs of g (the shape of accumQtB4). For k a multiple of 4
+// the AVX kernel starts each sweep up to three columns left of the
+// diagonal, so it is a whole number of vectors long; what it adds there
+// falls in the lower triangle, which is left undefined (GramRowsPool
+// mirrors the upper one over it).
 func accumGram4(g, x0, x1, x2, x3 []float64) {
+	k := len(x0)
+	x1, x2, x3 = x1[:k], x2[:k], x3[:k]
+	if useAVX && k%4 == 0 {
+		gram4AVX(g[:k*k], x0, x1, x2, x3)
+		return
+	}
+	accumGram4Go(g, x0, x1, x2, x3)
+}
+
+// accumGram4Go is accumGram4's Go body; it leaves the lower triangle alone.
+func accumGram4Go(g, x0, x1, x2, x3 []float64) {
 	k := len(x0)
 	x1, x2, x3 = x1[:k], x2[:k], x3[:k]
 	i := 0
 	for ; i+2 <= k; i += 2 {
 		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
 		b0, b1, b2, b3 := x0[i+1], x1[i+1], x2[i+1], x3[i+1]
-		g[i*k+i] += a0*a0 + a1*a1 + a2*a2 + a3*a3
+		g[i*k+i] += float64(a0*a0) + float64(a1*a1) + float64(a2*a2) + float64(a3*a3)
 		ga := g[i*k+i+1 : (i+1)*k]
 		gb := g[(i+1)*k+i+1 : (i+2)*k][:len(ga)]
 		v0, v1, v2, v3 := x0[i+1:][:len(ga)], x1[i+1:][:len(ga)], x2[i+1:][:len(ga)], x3[i+1:][:len(ga)]
 		for j := range ga {
 			c0, c1, c2, c3 := v0[j], v1[j], v2[j], v3[j]
-			ga[j] += a0*c0 + a1*c1 + a2*c2 + a3*c3
-			gb[j] += b0*c0 + b1*c1 + b2*c2 + b3*c3
+			ga[j] += float64(a0*c0) + float64(a1*c1) + float64(a2*c2) + float64(a3*c3)
+			gb[j] += float64(b0*c0) + float64(b1*c1) + float64(b2*c2) + float64(b3*c3)
 		}
 	}
 	if i < k {
 		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
-		g[i*k+i] += a0*a0 + a1*a1 + a2*a2 + a3*a3
+		g[i*k+i] += float64(a0*a0) + float64(a1*a1) + float64(a2*a2) + float64(a3*a3)
 	}
 }

@@ -21,18 +21,27 @@ func bitIdentical(t *testing.T, name string, got, want *Dense) {
 
 // TestMulPoolBitIdentical checks the blocked parallel GEMM matches the
 // serial kernel exactly for every pool size (k-ascending accumulation
-// order is preserved by the blocking).
+// order is preserved by the blocking and by the four-term passes), also
+// when zeros in a break up the groups of four.
 func TestMulPoolBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := GaussianDense(70, 513, rng) // inner dim spans two k-blocks
 	b := GaussianDense(513, 29, rng)
-	want := Mul(a, b)
-	for _, workers := range []int{0, 1, 3, 8} {
-		var pool *par.Pool
-		if workers > 0 {
-			pool = par.New(workers)
+	sparse := a.Clone()
+	for i := range sparse.Data {
+		if rng.Intn(3) == 0 {
+			sparse.Data[i] = 0
 		}
-		bitIdentical(t, "MulPool", MulPool(pool, a, b), want)
+	}
+	for _, a := range []*Dense{a, sparse} {
+		want := Mul(a, b)
+		for _, workers := range []int{0, 1, 3, 8} {
+			var pool *par.Pool
+			if workers > 0 {
+				pool = par.New(workers)
+			}
+			bitIdentical(t, "MulPool", MulPool(pool, a, b), want)
+		}
 	}
 }
 

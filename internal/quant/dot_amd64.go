@@ -2,6 +2,8 @@
 
 package quant
 
+import "github.com/nrp-embed/nrp/internal/cpuid"
+
 // dotAVX2 is the assembly kernel (dot_amd64.s): Σ a_i·b_i with 16-lane
 // sign-extended int16 multiplies fused into int32 pair-sums (VPMADDWD).
 // len(a) must be a non-zero multiple of 16 and len(b) >= len(a).
@@ -9,25 +11,5 @@ package quant
 //go:noescape
 func dotAVX2(a, b []int8) int32
 
-// cpuidex executes CPUID with the given leaf and subleaf.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv0 reads extended control register 0 (XCR0).
-func xgetbv0() (eax, edx uint32)
-
-// useAVX2 gates the assembly kernel: the CPU must support AVX2 and the
-// OS must have enabled XMM/YMM state saving (OSXSAVE + XCR0 bits 1–2).
-var useAVX2 = func() bool {
-	_, _, c, _ := cpuidex(1, 0)
-	const osxsaveBit = 1 << 27
-	const avxBit = 1 << 28
-	if c&osxsaveBit == 0 || c&avxBit == 0 {
-		return false
-	}
-	if lo, _ := xgetbv0(); lo&0x6 != 0x6 {
-		return false
-	}
-	_, b, _, _ := cpuidex(7, 0)
-	const avx2Bit = 1 << 5
-	return b&avx2Bit != 0
-}()
+// useAVX2 gates the assembly kernel on the CPU probe.
+var useAVX2 = cpuid.HasAVX2

@@ -362,10 +362,16 @@ func (a *CSR) MulDenseIntoPool(p *par.Pool, x, out *matrix.Dense) {
 	})
 }
 
-// mulRow overwrites out with row i of a·x.
+// mulRow overwrites out with row i of a·x, four entries of the row per
+// pass over out (matrix.Axpy4 sums them in order, as four Axpy calls do).
 func (a *CSR) mulRow(i int, x *matrix.Dense, out []float64) {
 	clear(out)
-	for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+	q, end := a.RowPtr[i], a.RowPtr[i+1]
+	for ; q+4 <= end; q += 4 {
+		c, v := a.ColIdx[q:q+4], a.Val[q:q+4]
+		matrix.Axpy4(v[0], v[1], v[2], v[3], x.Row(int(c[0])), x.Row(int(c[1])), x.Row(int(c[2])), x.Row(int(c[3])), out)
+	}
+	for ; q < end; q++ {
 		matrix.Axpy(a.Val[q], x.Row(int(a.ColIdx[q])), out)
 	}
 }
